@@ -10,11 +10,12 @@
 //     from scratch at every commit — checking the same recorded trace.
 //  B. Audit period: the cost of periodically deep-comparing the
 //     incremental views against rebuilt ones.
-//  C. Log backend: MemoryLog vs FileLog serialization cost.
+//  C. Log sink: records kept in memory vs serialized to a log file.
 //
 // Expected shape: incremental wins by a growing factor as the structure
 // gets larger; audits add cost inversely proportional to their period;
-// the file backend adds a constant serialization overhead per record.
+// the log file trades a constant serialization cost per record for not
+// retaining the structured records.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,7 +133,7 @@ int main(int Argc, char **Argv) {
   }
   hr('-', 30);
 
-  std::printf("\nAblation C: log backend cost (Cache workload, CPU "
+  std::printf("\nAblation C: log sink cost (Cache workload, CPU "
               "seconds)\n\n");
   {
     WorkloadOptions WO;
@@ -156,17 +157,17 @@ int main(int Argc, char **Argv) {
       std::printf("%-22s %10.3f\n", Label, Secs);
       jsonRow(Cfg, WO.Threads, Records, Secs);
     };
-    TimeMode("MemoryLog", "backend-memory", "");
+    TimeMode("in memory", "backend-memory", "");
     std::string Path =
         "/tmp/vyrd-ablc-" + std::to_string(getpid()) + ".bin";
-    TimeMode("FileLog (serialized)", "backend-file", Path);
+    TimeMode("log file (serialized)", "backend-file", Path);
     std::remove(Path.c_str());
   }
   std::printf("\nExpected shape: incremental maintenance beats full "
               "rebuilds by a factor that\ngrows with structure size; "
               "frequent audits approach full-rebuild cost. With no\n"
-              "consumer draining the log, FileLog (compact serialized "
-              "bytes, no retained tail)\ntypically beats MemoryLog "
-              "(which must retain every structured record).\n");
+              "consumer draining the log, the log file (compact serialized "
+              "bytes, nothing\nretained) typically beats keeping every "
+              "structured record in memory.\n");
   return BJ.write() ? 0 : 1;
 }

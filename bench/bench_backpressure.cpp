@@ -275,7 +275,6 @@ int main(int Argc, char **Argv) {
     removeChain(Base);
     VerifierConfig C = baseConfig();
     C.LogFilePath = Base;
-    C.Backend = LogBackend::LB_File;
     C.Backpressure.Enabled = true;
     C.Backpressure.MaxPendingRecords = PendingBound;
     C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
@@ -460,7 +459,6 @@ int main(int Argc, char **Argv) {
     unsigned BurstExecs = SoakExecs / 10;
     VerifierConfig C = baseConfig();
     C.LogFilePath = Base;
-    C.Backend = LogBackend::LB_File;
     C.Telemetry.Enabled = true; // the soak polls the live policy gauge
     C.Backpressure.Enabled = true;
     C.Backpressure.MaxPendingRecords = 512;

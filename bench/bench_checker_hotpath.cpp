@@ -15,7 +15,7 @@
 //     Both runs must report identical violations (none).
 //
 //  2. Heap allocations per logged record on the append -> batch -> check
-//     path, counted with an operator-new hook around a MemoryLog
+//     path, counted with an operator-new hook around a BufferedLog
 //     append/nextBatch/feed pipeline of the same trace.
 //
 // Usage: bench_checker_hotpath [--quick] [--json <out.json>]
@@ -29,7 +29,7 @@
 #include "BenchUtil.h"
 
 #include "vyrd/Checker.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 
 #include <atomic>
 #include <cstdio>
@@ -333,25 +333,25 @@ int main(int Argc, char **Argv) {
 
   // --- 2. allocations per record, append -> batch -> check ---------------
   // The trace is pre-built and the checker pre-warmed (pools, memo table,
-  // deque blocks), so the counted window holds only the steady-state
+  // log queue chunks), so the counted window holds only the steady-state
   // per-record cost of the pipeline.
   {
     VectorSpec S;
     CheckerConfig CC;
     CC.Mode = CheckMode::CM_IORefinement;
     RefinementChecker Checker(S, nullptr, CC);
-    MemoryLog Log;
+    BufferedLog Log;
     LogWriter &W = Log.writer();
 
+    // Feeds everything appended so far, batch by batch as the verifier
+    // pump does (the flusher publishes records asynchronously).
+    uint64_t Fed = 0;
     auto PumpReady = [&](std::vector<Action> &Batch) {
-      bool End = false;
-      Action A;
-      (void)End;
-      Batch.clear();
-      while (Log.tryNext(A, End))
-        Batch.push_back(std::move(A));
-      for (const Action &B : Batch)
-        Checker.feed(B);
+      while (Fed < Log.appendCount() && Log.nextBatch(Batch, 256)) {
+        for (const Action &B : Batch)
+          Checker.feed(B);
+        Fed += Batch.size();
+      }
     };
 
     std::vector<Action> Batch;

@@ -1,4 +1,4 @@
-//===- bench_log_backends.cpp - Mutex log vs sharded buffered log ----------===//
+//===- bench_log_backends.cpp - Append cost of the execution log ----------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -7,11 +7,10 @@
 // The paper's Table 2 measures how much the log slows down the
 // *instrumented program*: appends execute inside the application's
 // methods, while draining, serialization and checking can run elsewhere.
-// The seed backends pay a global mutex (MemoryLog) or a mutex plus
-// inline encode+write (FileLog) on every append; BufferedLog pays a
-// ticket fetch_add and one move into a private ring.
+// BufferedLog pays a ticket fetch_add and one move into a private ring
+// per append.
 //
-// This bench therefore reports two numbers per backend at 1/2/4/8
+// This bench reports two numbers per log configuration at 1/2/4/8
 // producer threads:
 //
 //  * app-side append throughput: total records divided by the CPU time
@@ -23,12 +22,12 @@
 //    every pipeline stage, so a backend that shifts work off the app
 //    threads cannot win here; on a multi-core host the stages overlap.
 //
-// Memory variants drain concurrently in 256-record batches (the online
-// verifier's consumption pattern); file variants write records to disk
-// with no consumer (the Table 2 logging-overhead pattern, RetainTail /
+// Drained variants are consumed concurrently in 256-record batches (the
+// online verifier's consumption pattern); file variants write records to
+// disk with no consumer (the Table 2 logging-overhead pattern,
 // RetainRecords off). Records are an alloc-free call/write/commit/return
-// mix so the allocator doesn't dilute the backend comparison. Results
-// are recorded in EXPERIMENTS.md.
+// mix so the allocator doesn't dilute the comparison. Results are
+// recorded in EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,7 +85,7 @@ struct RunCost {
 
 /// Runs \p Threads producers against \p L, optionally draining from a
 /// consumer thread.
-RunCost runProducers(Log &L, unsigned Threads, bool Drain) {
+RunCost runProducers(BufferedLog &L, unsigned Threads, bool Drain) {
   Name M = internName("bench.op");
   Name Var = internName("bench.var");
   std::atomic<uint64_t> CpuNanos{0};
@@ -121,14 +120,25 @@ struct Throughput {
   double E2E; // M records per wall second (best of Reps)
 };
 
-Throughput measure(const std::function<std::unique_ptr<Log>()> &Make,
-                   unsigned Threads, bool Drain) {
+/// The bench's log configuration: large shards, a file when \p Path is
+/// set (then with no in-memory copy: nothing drains file variants).
+BufferedLog::Options benchOptions(const std::string &Path = "") {
+  BufferedLog::Options O;
+  O.ShardCapacity = 4096;
+  O.FilePath = Path;
+  O.RetainRecords = Path.empty();
+  return O;
+}
+
+Throughput
+measure(const std::function<std::unique_ptr<BufferedLog>()> &Make,
+        unsigned Threads, bool Drain) {
   Throughput Best{0, 0};
   double Total = static_cast<double>(Threads) * MethodsPerThread * 4;
   for (unsigned R = 0; R < Reps; ++R) {
     auto L = Make();
-    if (!L) {
-      std::fprintf(stderr, "failed to open a log backend\n");
+    if (!L->valid()) {
+      std::fprintf(stderr, "failed to open the log file\n");
       std::exit(1);
     }
     RunCost C = runProducers(*L, Threads, Drain);
@@ -143,17 +153,8 @@ std::string tmpFile(const char *Tag) {
          std::to_string(getpid()) + ".bin";
 }
 
-void printRow(unsigned Threads, Throughput Mutex, Throughput Buffered) {
-  std::printf("%-8u %13.2f %13.2f %8.2fx %11.2f %11.2f\n", Threads,
-              Mutex.App, Buffered.App, Buffered.App / Mutex.App, Mutex.E2E,
-              Buffered.E2E);
-}
-
-void printHeader(const char *MutexName) {
-  std::printf("%-8s %13s %13s %9s %11s %11s\n", "", "app M/s", "app M/s",
-              "app", "e2e M/s", "e2e M/s");
-  std::printf("%-8s %13s %13s %9s %11s %11s\n", "threads", MutexName,
-              "BufferedLog", "speedup", MutexName, "BufferedLog");
+void printHeader() {
+  std::printf("%-8s %13s %11s\n", "threads", "app M/s", "e2e M/s");
   hr();
 }
 
@@ -312,10 +313,7 @@ Throughput measureShipped(const std::string &Base, const std::string &Sock,
     std::remove(Base.c_str());
     for (uint64_t I = 1; I <= 512; ++I)
       std::remove(logSegmentPath(Base, I).c_str());
-    BufferedLog::Options O;
-    O.ShardCapacity = 4096;
-    O.FilePath = Base;
-    O.RetainRecords = false;
+    BufferedLog::Options O = benchOptions(Base);
     O.Backpressure.SegmentBytes = 256 * 1024;
     O.Backpressure.ReclaimSegments = false;
     BufferedLog L(std::move(O));
@@ -378,9 +376,7 @@ template <typename CounterT> Throughput measureCounter(unsigned Threads) {
   Throughput Best{0, 0};
   double Total = static_cast<double>(Threads) * MethodsPerThread * 6;
   for (unsigned R = 0; R < Reps; ++R) {
-    BufferedLog::Options O;
-    O.ShardCapacity = 4096;
-    BufferedLog L(std::move(O));
+    BufferedLog L(benchOptions());
     CounterT C(Hooks(&L, LogLevel::LL_View));
     std::atomic<uint64_t> CpuNanos{0};
     double T0 = wallSeconds();
@@ -421,7 +417,7 @@ int main(int Argc, char **Argv) {
                  : std::vector<unsigned>{1, 2, 4, 8};
   BenchJson BJ("log_backends", Args.JsonPath);
 
-  std::printf("Log backend append throughput (%u methods x 4 records per "
+  std::printf("Log append throughput (%u methods x 4 records per "
               "producer, best of %u)\n"
               "app = records per CPU-second spent in the producer threads "
               "(instrumentation cost)\ne2e = records per wall second until "
@@ -430,49 +426,27 @@ int main(int Argc, char **Argv) {
 
   std::printf("In-memory, concurrent consumer draining 256-record "
               "batches:\n\n");
-  printHeader("MemoryLog");
+  printHeader();
   for (unsigned Threads : ThreadCounts) {
-    Throughput Mem = measure([] { return std::make_unique<MemoryLog>(); },
-                             Threads, /*Drain=*/true);
     Throughput Buf = measure(
-        [] {
-          BufferedLog::Options O;
-          O.ShardCapacity = 4096;
-          return std::make_unique<BufferedLog>(std::move(O));
-        },
+        [] { return std::make_unique<BufferedLog>(benchOptions()); },
         Threads, /*Drain=*/true);
-    printRow(Threads, Mem, Buf);
-    jsonRow(BJ, "memory-drain", Threads, Mem);
+    std::printf("%-8u %13.2f %11.2f\n", Threads, Buf.App, Buf.E2E);
     jsonRow(BJ, "buffered-drain", Threads, Buf);
   }
   hr();
 
   std::printf("\nFile-backed, no consumer (logging-overhead pattern):\n\n");
-  printHeader("FileLog");
+  printHeader();
   for (unsigned Threads : ThreadCounts) {
-    std::string FilePath = tmpFile("file");
-    Throughput File = measure(
-        [&FilePath] {
-          bool Valid = false;
-          auto L = std::make_unique<FileLog>(FilePath, Valid,
-                                             /*RetainTail=*/false);
-          return Valid ? std::move(L) : nullptr;
-        },
-        Threads, /*Drain=*/false);
     std::string BufPath = tmpFile("buffered");
     Throughput Buf = measure(
         [&BufPath] {
-          BufferedLog::Options O;
-          O.ShardCapacity = 4096;
-          O.FilePath = BufPath;
-          O.RetainRecords = false;
-          return std::make_unique<BufferedLog>(std::move(O));
+          return std::make_unique<BufferedLog>(benchOptions(BufPath));
         },
         Threads, /*Drain=*/false);
-    std::remove(FilePath.c_str());
     std::remove(BufPath.c_str());
-    printRow(Threads, File, Buf);
-    jsonRow(BJ, "file-nodrain", Threads, File);
+    std::printf("%-8u %13.2f %11.2f\n", Threads, Buf.App, Buf.E2E);
     jsonRow(BJ, "buffered-file-nodrain", Threads, Buf);
   }
   hr();
@@ -484,8 +458,7 @@ int main(int Argc, char **Argv) {
   // e2e column absorbs the final segment's transfer and Close ack.
   std::printf("\nSegment shipping overhead (buffered file log, 256 KiB "
               "segments, unix-socket fleet stand-in):\n\n");
-  std::printf("%-8s %13s %11s\n", "threads", "app M/s", "e2e M/s");
-  hr();
+  printHeader();
   {
     std::string Sock =
         "/tmp/vyrd-benchship-" + std::to_string(getpid()) + ".sock";
@@ -516,17 +489,11 @@ int main(int Argc, char **Argv) {
   Telemetry Telem; // no sampler: measures the pure metric-update cost
   for (unsigned Threads : ThreadCounts) {
     Throughput Off = measure(
-        [] {
-          BufferedLog::Options O;
-          O.ShardCapacity = 4096;
-          return std::make_unique<BufferedLog>(std::move(O));
-        },
+        [] { return std::make_unique<BufferedLog>(benchOptions()); },
         Threads, /*Drain=*/true);
     Throughput On = measure(
         [&Telem] {
-          BufferedLog::Options O;
-          O.ShardCapacity = 4096;
-          auto L = std::make_unique<BufferedLog>(std::move(O));
+          auto L = std::make_unique<BufferedLog>(benchOptions());
           L->setTelemetry(&Telem);
           return L;
         },
@@ -587,9 +554,7 @@ int main(int Argc, char **Argv) {
     for (unsigned Threads : ThreadCounts) {
       Throughput Mon = measure(
           [&MonTelem] {
-            BufferedLog::Options O;
-            O.ShardCapacity = 4096;
-            auto L = std::make_unique<BufferedLog>(std::move(O));
+            auto L = std::make_unique<BufferedLog>(benchOptions());
             L->setTelemetry(&MonTelem);
             return L;
           },

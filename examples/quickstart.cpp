@@ -58,9 +58,8 @@ using namespace vyrd::harness;
 static void readmeQuickstart() {
   // 1. One verifier, one log, any number of verified objects: register
   //    each structure (spec + replayer) and get hooks bound to its id.
-  VerifierConfig VC;                    // view refinement by default
-  VC.Backend = LogBackend::LB_Buffered; // sharded lock-free log
-  VC.CheckerThreads = 2;                // check the objects in parallel
+  VerifierConfig VC;     // view refinement by default
+  VC.CheckerThreads = 2; // check the objects in parallel
   Verifier V(VC);
   Hooks HM = V.registerObject(
       "multiset", std::make_unique<multiset::MultisetSpec>(),

@@ -28,6 +28,8 @@
 #include "scanfs/ScanFsSpec.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace vyrd;
 using namespace vyrd::harness;
@@ -178,6 +180,31 @@ std::string keyString(int64_t K, size_t Len) {
   return S;
 }
 
+/// Logging-only wiring: one log with no consumer, filling Scenario::L and
+/// Finish. Records go to O.LogPath when it is set; otherwise they stay in
+/// the log's memory queue (callers may drain S.L after Finish).
+BufferedLog *wireLogOnly(Scenario &S, const ScenarioOptions &O) {
+  BufferedLog::Options BO;
+  BO.FilePath = O.LogPath;
+  BO.RetainRecords = O.LogPath.empty();
+  auto L = std::make_shared<BufferedLog>(std::move(BO));
+  if (!L->valid()) {
+    std::fprintf(stderr, "vyrd: cannot open log file %s\n",
+                 O.LogPath.c_str());
+    std::abort();
+  }
+  S.L = L.get();
+  S.Owned.push_back(L);
+  S.Finish = [L] {
+    L->close();
+    VerifierReport R;
+    R.LogRecords = L->appendCount();
+    R.LogBytes = L->byteCount();
+    return R;
+  };
+  return L.get();
+}
+
 /// Shared wiring: builds the log / verifier per run mode and fills
 /// Scenario::V, L, Finish. \returns the Hooks the data structure should
 /// use.
@@ -193,37 +220,9 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
     return Hooks();
   }
 
-  if (!modeChecks(O.Mode)) {
-    // Logging only: a bare log with no consumer.
-    std::shared_ptr<Log> L;
-    if (O.Buffered) {
-      BufferedLog::Options BO;
-      BO.FilePath = O.LogPath;
-      BO.RetainRecords = false; // nothing consumes the log
-      auto BL = std::make_shared<BufferedLog>(std::move(BO));
-      assert(BL->valid() && "cannot open log file");
-      L = std::move(BL);
-    } else if (!O.LogPath.empty()) {
-      bool Valid = false;
-      L = std::make_shared<FileLog>(O.LogPath, Valid,
-                                    /*RetainTail=*/false);
-      assert(Valid && "cannot open log file");
-      (void)Valid;
-    } else {
-      L = std::make_shared<MemoryLog>();
-    }
-    S.L = L.get();
-    S.Owned.push_back(L);
-    S.Finish = [L] {
-      L->close();
-      VerifierReport R;
-      R.LogRecords = L->appendCount();
-      R.LogBytes = L->byteCount();
-      return R;
-    };
-    return Hooks(L.get(),
+  if (!modeChecks(O.Mode))
+    return Hooks(wireLogOnly(S, O),
                  ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO);
-  }
 
   VerifierConfig VC;
   VC.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
@@ -242,8 +241,6 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
   // (VerifierConfig::validate would reject the combination).
   VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
   VC.LogFilePath = O.LogPath;
-  if (O.Buffered)
-    VC.Backend = LogBackend::LB_Buffered;
   VC.Backpressure = O.Backpressure;
   VC.Adaptive = O.Adaptive;
   // Like the pool, adaptation only exists online: there is no live
@@ -584,35 +581,11 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   } else if (!modeChecks(O.Mode)) {
     // Logging only: a bare log, four hook sets stamping object ids in the
     // same order registerObject would assign them.
-    std::shared_ptr<Log> L;
-    if (O.Buffered) {
-      BufferedLog::Options BO;
-      BO.FilePath = O.LogPath;
-      BO.RetainRecords = false;
-      auto BL = std::make_shared<BufferedLog>(std::move(BO));
-      assert(BL->valid() && "cannot open log file");
-      L = std::move(BL);
-    } else if (!O.LogPath.empty()) {
-      bool Valid = false;
-      L = std::make_shared<FileLog>(O.LogPath, Valid, /*RetainTail=*/false);
-      assert(Valid && "cannot open log file");
-      (void)Valid;
-    } else {
-      L = std::make_shared<MemoryLog>();
-    }
-    S.L = L.get();
-    S.Owned.push_back(L);
-    S.Finish = [L] {
-      L->close();
-      VerifierReport R;
-      R.LogRecords = L->appendCount();
-      R.LogBytes = L->byteCount();
-      return R;
-    };
-    HMul = Hooks(L.get(), Level, nullptr, 0);
-    HCache = Hooks(L.get(), Level, nullptr, 1);
-    HTree = Hooks(L.get(), Level, nullptr, 2);
-    HQueue = Hooks(L.get(), Level, nullptr, 3);
+    BufferedLog *L = wireLogOnly(S, O);
+    HMul = Hooks(L, Level, nullptr, 0);
+    HCache = Hooks(L, Level, nullptr, 1);
+    HTree = Hooks(L, Level, nullptr, 2);
+    HQueue = Hooks(L, Level, nullptr, 3);
   } else {
     VerifierConfig VC;
     VC.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
@@ -628,8 +601,6 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
                 O.Mode == RunMode::RM_OnlineView;
     VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
     VC.LogFilePath = O.LogPath;
-    if (O.Buffered)
-      VC.Backend = LogBackend::LB_Buffered;
     VC.Backpressure = O.Backpressure;
     VC.Adaptive = O.Adaptive;
     // Like the pool, adaptation only exists online: there is no live

@@ -86,10 +86,11 @@ struct ScenarioOptions {
   RunMode Mode = RunMode::RM_OnlineView;
   /// Inject the program's Table 1 bug.
   bool Buggy = false;
-  /// Log to this file instead of memory (empty = MemoryLog).
+  /// Write the log to this file. Empty: no file; the logging-only modes
+  /// then keep the records in memory (drainable through Scenario::L).
   std::string LogPath;
-  /// Use the sharded BufferedLog backend (with LogPath as its file when
-  /// set) instead of MemoryLog/FileLog.
+  /// Ignored: every scenario runs on the one execution log (BufferedLog).
+  /// Kept so existing callers keep compiling.
   bool Buffered = false;
   /// Stop recording violations after the first (Table 1 protocol).
   bool StopAtFirstViolation = false;
@@ -149,7 +150,7 @@ struct Scenario {
   /// The verifier (null in Bare/LogOnly modes).
   Verifier *V = nullptr;
   /// The log (null in Bare mode).
-  Log *L = nullptr;
+  BufferedLog *L = nullptr;
   /// Completes the run: closes the log and finishes checking (if any).
   /// Must be called exactly once.
   std::function<VerifierReport()> Finish;

@@ -70,11 +70,13 @@ WorkloadResult vyrd::harness::runWorkload(
 
   std::thread Background;
   if (Options.BackgroundOp) {
+    // Runs at least once, even when the app threads finish before this
+    // thread is first scheduled.
     Background = std::thread([&] {
-      while (!AppDone.load(std::memory_order_acquire)) {
+      do {
         Options.BackgroundOp();
         std::this_thread::yield();
-      }
+      } while (!AppDone.load(std::memory_order_acquire));
     });
   }
 

@@ -33,7 +33,7 @@
 /// observe() with the current lag and a caller-supplied clock, so unit
 /// tests drive it with fake nanoseconds and no sleeps. The decisions are
 /// published through plain relaxed atomics (batchTarget, the policy
-/// cell) that the log backends and the checker-pool admission read on
+/// cell) that the log's flusher and the checker-pool admission read on
 /// their own threads.
 ///
 //===----------------------------------------------------------------------===//
@@ -111,8 +111,8 @@ public:
   };
 
   /// \p Base is the configured static policy (the ladder's bottom rung);
-  /// \p CanSpill says whether the log backend can serve the
-  /// BP_SpillToDisk rung (file-backed with a retained tail). Ladders:
+  /// \p CanSpill says whether the log can serve the BP_SpillToDisk rung
+  /// (it has a log file). Ladders:
   /// Block → Spill → Shed (CanSpill), Block → Shed (memory-only),
   /// Spill → Shed, and Shed alone (nothing to escalate to).
   AdaptiveController(const AdaptiveConfig &C, BackpressurePolicy Base,
@@ -134,8 +134,8 @@ public:
         Policy.load(std::memory_order_relaxed));
   }
 
-  /// The raw cells the log backends subscribe to (Log::setDynamicPolicy /
-  /// Log::setBatchTargetHint). Stable for the controller's lifetime.
+  /// The raw cells the log subscribes to (BufferedLog::setDynamicPolicy /
+  /// BufferedLog::setBatchTargetHint). Stable for the controller's lifetime.
   const std::atomic<uint8_t> &policyCell() const { return Policy; }
   const std::atomic<size_t> &batchCell() const { return Target; }
 

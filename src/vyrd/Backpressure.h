@@ -7,8 +7,8 @@
 /// \file
 /// The bounded-channel layer of the pipeline. The paper's log (Sec. 4.2)
 /// decouples instrumented threads from the verification thread; without a
-/// bound, every link of that chain (MemoryLog's queue, FileLog's tail, the
-/// checker pool's pending queues) grows whenever checkers lag producers.
+/// bound, every link of that chain (the log's reader queue, the checker
+/// pool's pending queues) grows whenever checkers lag producers.
 /// BackpressureConfig states the memory ceiling and the admission policy
 /// every stage enforces when it is reached:
 ///
@@ -63,8 +63,8 @@ enum class BackpressurePolicy : uint8_t {
 const char *backpressurePolicyName(BackpressurePolicy P);
 
 /// The pipeline-wide bound and admission policy, enforced uniformly by
-/// MemoryLog, FileLog's tail, BufferedLog's flusher and the checker
-/// pool's pending queues. Part of VerifierConfig; validated there.
+/// BufferedLog's flusher and the checker pool's pending queues. Part of
+/// VerifierConfig; validated there.
 struct BackpressureConfig {
   /// Master switch. Disabled (the default) keeps the historical
   /// unbounded behavior of every stage.
@@ -164,7 +164,7 @@ struct SegmentCut {
 /// record encoder and the rotation/reclamation bookkeeping. Two modes:
 ///
 ///  * SegmentBytes == 0 — one plain file at `path`, v3 header written at
-///    open(): byte-identical behavior to the historical FileLog output.
+///    open(): byte-identical to the historical single-file output.
 ///  * SegmentBytes > 0  — a chain of numbered segments `path.000001`,
 ///    `path.000002`, ... Each segment is fully self-contained: its own
 ///    header (LogSegmentVersion, carrying the segment index and first
@@ -174,8 +174,8 @@ struct SegmentCut {
 ///    reaches SegmentBytes; the previous segment is flushed and closed
 ///    before its successor is created (readers rely on that order).
 ///
-/// All methods are thread-safe (one internal mutex): writers call
-/// write()/flushPending() under their own admission lock, the pump
+/// All methods are thread-safe (one internal mutex): the flusher calls
+/// write()/flushPending(), the pump
 /// thread calls reclaimThrough(), and spill readers call sync() /
 /// pathForSeq() concurrently.
 class SegmentSink {
@@ -193,13 +193,13 @@ public:
 
   /// Encodes \p A into the pending buffer, rotating to a fresh segment
   /// first when the current one is full. Records must arrive in
-  /// ascending Seq order (they do: callers encode under the lock that
-  /// assigns Seq, or on the single flusher thread).
+  /// ascending Seq order (they do: the single flusher thread writes them
+  /// in ticket order).
   void write(const Action &A);
 
   /// Pushes the pending encoded bytes into stdio (one fwrite). Cheap;
-  /// callers invoke it per record (FileLog) or per flush epoch
-  /// (BufferedLog). No fflush — durability only at sync()/close().
+  /// BufferedLog invokes it once per flush epoch. No fflush — durability
+  /// only at sync()/close().
   void flushPending();
 
   /// flushPending + fflush: everything written so far becomes readable

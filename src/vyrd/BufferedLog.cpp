@@ -1,4 +1,4 @@
-//===- BufferedLog.cpp - Sharded, batched execution log -------------------===//
+//===- BufferedLog.cpp - The execution log --------------------------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -51,6 +51,36 @@ thread_local ShardCacheEntry ShardCache[ShardCacheWays];
 struct BufferedLog::Impl {
   Options Opts;
   uint64_t InstanceId = 0;
+
+  /// The attached hub and the adaptive controller's cells (see the
+  /// setters in BufferedLog.h); null when not installed.
+  std::atomic<Telemetry *> Telem{nullptr};
+  std::atomic<const std::atomic<uint8_t> *> DynPolicy{nullptr};
+  std::atomic<const std::atomic<size_t> *> BatchHint{nullptr};
+
+  /// The attached hub, or null. Hot paths should read it once and cache
+  /// the per-thread cell.
+  Telemetry *telemetry() const {
+    return Telem.load(std::memory_order_acquire);
+  }
+  /// The admission policy currently in force: the dynamic cell's value
+  /// when one is installed, the static configuration otherwise.
+  BackpressurePolicy activePolicy() const {
+    const std::atomic<uint8_t> *C = DynPolicy.load(std::memory_order_acquire);
+    return C ? static_cast<BackpressurePolicy>(
+                   C->load(std::memory_order_relaxed))
+             : Opts.Backpressure.Policy;
+  }
+  /// Whether a dynamic policy cell is installed (the policy can change
+  /// mid-run; see BufferedLog::spillCapable()).
+  bool hasDynamicPolicy() const {
+    return DynPolicy.load(std::memory_order_acquire) != nullptr;
+  }
+  /// The adaptive drain quantum, or \p Default when none is installed.
+  size_t batchTargetHint(size_t Default) const {
+    const std::atomic<size_t> *C = BatchHint.load(std::memory_order_acquire);
+    return C ? C->load(std::memory_order_relaxed) : Default;
+  }
 
   /// The global order: every append claims one ticket (see BufferedLog.h
   /// for why a relaxed RMW is enough).
@@ -134,7 +164,7 @@ uint64_t ThreadLogShard::append(Action A) {
   uint64_t T0 = 0;
   if (telemetryCompiledIn()) {
     if (!TC)
-      if (Telemetry *T = Parent.telemetry())
+      if (Telemetry *T = Parent.I->telemetry())
         TC = &T->cell();
     if (TC && (H & 63) == 0)
       T0 = telemetryNowNanos();
@@ -274,7 +304,7 @@ void BufferedLog::park(Action &&A) {
     I->Parked = std::move(NewParked);
     I->ReorderMask = NewSize - 1;
     if (telemetryCompiledIn())
-      if (Telemetry *T = telemetry())
+      if (Telemetry *T = I->telemetry())
         T->count(Counter::C_ReorderGrows);
   }
   size_t Slot = A.Seq & I->ReorderMask;
@@ -286,12 +316,12 @@ bool BufferedLog::spillCapable() const {
   const BackpressureConfig &BP = I->Opts.Backpressure;
   return BP.Enabled && I->HasFile && I->Opts.RetainRecords &&
          (BP.Policy == BackpressurePolicy::BP_SpillToDisk ||
-          hasDynamicPolicy());
+          I->hasDynamicPolicy());
 }
 
 void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
   const BackpressureConfig &BP = I->Opts.Backpressure;
-  Telemetry *T = telemetry();
+  Telemetry *T = I->telemetry();
   std::unique_lock Lock(I->QM);
   for (uint64_t Ti = First; Ti != S; ++Ti) {
     Action &A = I->Reorder[Ti & I->ReorderMask];
@@ -304,10 +334,10 @@ void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
       // parked, and the record must then be re-decided under the new
       // policy rather than admitted as if nothing changed.
       for (;;) {
-        BackpressurePolicy P = activePolicy(BP);
+        BackpressurePolicy P = I->activePolicy();
         bool Over = I->Q.size() >= BP.MaxPendingRecords ||
                     (BP.MaxTailBytes && I->QBytes >= BP.MaxTailBytes);
-        if (P == BackpressurePolicy::BP_Shed || hasDynamicPolicy()) {
+        if (P == BackpressurePolicy::BP_Shed || I->hasDynamicPolicy()) {
           // With a dynamic policy the filter is consulted under every
           // rung so open shed windows close whole: continuation records
           // of a shed execution drop regardless of the current rung (the
@@ -362,7 +392,7 @@ void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
         I->QSpaceCV.wait(Lock, [&] {
           return (I->Q.size() < BP.MaxPendingRecords &&
                   (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes)) ||
-                 activePolicy(BP) != BackpressurePolicy::BP_Block;
+                 I->activePolicy() != BackpressurePolicy::BP_Block;
         });
       }
       if (Blocked) {
@@ -403,7 +433,7 @@ size_t BufferedLog::emitReady() {
   // contiguous run goes out at once, as before.
   uint64_t Limit = std::min<uint64_t>(
       I->Reorder.size(),
-      std::max<size_t>(batchTargetHint(I->Reorder.size()), 1));
+      std::max<size_t>(I->batchTargetHint(I->Reorder.size()), 1));
   while (S - First < Limit && I->Parked[S & I->ReorderMask])
     ++S;
   size_t K = static_cast<size_t>(S - First);
@@ -439,7 +469,7 @@ void BufferedLog::flusherMain() {
     size_t Emitted = emitReady();
     if (telemetryCompiledIn()) {
       if (!TC)
-        if (Telemetry *T = telemetry())
+        if (Telemetry *T = I->telemetry())
           TC = &T->cell();
       if (TC && Emitted) {
         TC->count(Counter::C_FlushBatches);
@@ -485,7 +515,7 @@ void BufferedLog::popFrontLocked(Action &Out) {
   if (BP.Enabled) {
     size_t FP = actionFootprintBytes(Out);
     I->QBytes -= std::min<uint64_t>(FP, I->QBytes);
-    if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
+    if (Telemetry *T = I->telemetry(); telemetryCompiledIn() && T) {
       T->gaugeSub(Gauge::G_PendingRecords, 1);
       T->gaugeSub(Gauge::G_TailBytes, FP);
     }
@@ -506,9 +536,9 @@ void BufferedLog::popFrontLocked(Action &Out) {
 }
 
 bool BufferedLog::spillNextLocked(Action &Out) {
-  // Same catch-up dance as FileLog: the record is at the sink (published
-  // via EmittedSeq only after the sink write), at worst still in stdio
-  // buffers, which sync() pushes down.
+  // The record is at the sink (published via EmittedSeq only after the
+  // sink write), at worst still in stdio buffers, which sync() pushes
+  // down.
   if (!I->SpillReader || I->SpillNextSeq != I->Delivered) {
     I->Sink.sync();
     auto R =
@@ -590,8 +620,8 @@ bool BufferedLog::tryNextLocked(Action &Out, bool &End) {
   return false;
 }
 
-bool BufferedLog::next(Action &Out) {
-  std::unique_lock Lock(I->QM);
+bool BufferedLog::nextLocked(std::unique_lock<std::mutex> &Lock,
+                             Action &Out) {
   while (true) {
     I->QCV.wait(Lock, [&] { return readyLocked() || I->Finished; });
     bool End = false;
@@ -604,19 +634,33 @@ bool BufferedLog::next(Action &Out) {
   }
 }
 
+bool BufferedLog::next(Action &Out) {
+  std::unique_lock Lock(I->QM);
+  return nextLocked(Lock, Out);
+}
+
 bool BufferedLog::tryNext(Action &Out, bool &End) {
   std::unique_lock Lock(I->QM);
   return tryNextLocked(Out, End);
 }
 
 bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
-  if (spillCapable())
-    return Log::nextBatch(Out, Max); // per-record path handles disk gaps
   Out.clear();
+  Max = std::max<size_t>(Max, 1);
   std::unique_lock Lock(I->QM);
+  Action A;
+  if (spillCapable()) {
+    // Record by record: the spill path fills disk gaps in sequence order.
+    if (!nextLocked(Lock, A))
+      return false;
+    Out.push_back(std::move(A));
+    bool End = false;
+    while (Out.size() < Max && tryNextLocked(A, End))
+      Out.push_back(std::move(A));
+    return true;
+  }
   I->QCV.wait(Lock, [&] { return !I->Q.empty() || I->Finished; });
   while (!I->Q.empty() && Out.size() < Max) {
-    Action A;
     popFrontLocked(A);
     Out.push_back(std::move(A));
   }
@@ -637,6 +681,18 @@ BackpressureStats BufferedLog::backpressureStats() const {
   if (I->HasFile)
     S.merge(I->Sink.stats());
   return S;
+}
+
+void BufferedLog::setTelemetry(Telemetry *T) {
+  I->Telem.store(T, std::memory_order_release);
+}
+
+void BufferedLog::setDynamicPolicy(const std::atomic<uint8_t> *Cell) {
+  I->DynPolicy.store(Cell, std::memory_order_release);
+}
+
+void BufferedLog::setBatchTargetHint(const std::atomic<size_t> *Cell) {
+  I->BatchHint.store(Cell, std::memory_order_release);
 }
 
 void BufferedLog::setShedClassifier(std::function<bool(const Action &)> Fn) {
@@ -666,7 +722,7 @@ void BufferedLog::reclaimCheckedPrefix(uint64_t Watermark) {
     return;
   if (BP.ReclaimSegments)
     I->Sink.reclaimThrough(Watermark);
-  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
+  if (Telemetry *T = I->telemetry(); telemetryCompiledIn() && T) {
     T->gaugeSet(Gauge::G_SegmentsLive, I->Sink.liveSegments());
     BackpressureStats S = I->Sink.stats();
     if (S.SegmentsCreated > I->SegCreatedSeen) {

@@ -1,16 +1,19 @@
-//===- BufferedLog.h - Sharded, batched execution log -----------*- C++ -*-===//
+//===- BufferedLog.h - The execution log ------------------------*- C++ -*-===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A log backend that takes the global mutex off the instrumentation hot
-/// path (the dominant runtime cost the paper measures in Table 2). Each
-/// producer thread appends into its own bounded single-producer /
-/// single-consumer ring (ThreadLogShard); a flusher thread drains the
-/// shards in epochs and merges the records into the global append order,
-/// from which readers consume in batches.
+/// The execution log connecting the instrumented program to the checkers
+/// (Sec. 4.2): "a file whose tail is kept in memory". It keeps the global
+/// mutex off the instrumentation hot path (the dominant runtime cost the
+/// paper measures in Table 2). Each producer thread appends into its own
+/// bounded single-producer / single-consumer ring (ThreadLogShard); a
+/// flusher thread drains the shards in epochs and merges the records into
+/// the global append order, writes them to the log file (when one is
+/// configured) and keeps them in a reader queue (unless RetainRecords is
+/// off), from which readers consume in batches.
 ///
 /// Ordering contract
 /// -----------------
@@ -51,23 +54,26 @@
 /// calls writer() (or append). Shards are owned by the log and outlive
 /// their threads; thread ids are never reused, so a shard has exactly one
 /// producer for its whole life. close() must only be called after all
-/// producer threads are done appending (same contract as the other
-/// backends, where it is enforced by an assert).
+/// producer threads are done appending.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef VYRD_BUFFEREDLOG_H
 #define VYRD_BUFFEREDLOG_H
 
+#include "vyrd/Backpressure.h"
 #include "vyrd/Log.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 namespace vyrd {
 
 class BufferedLog;
+class Telemetry;
 class TelemetryCell;
 
 /// One thread's bounded SPSC ring. Producer: the owning thread, through
@@ -99,13 +105,15 @@ private:
   alignas(64) std::atomic<uint64_t> Tail{0};
   uint64_t CachedTail = 0;
   /// The owning thread's telemetry cell, resolved lazily on first append
-  /// after a hub is attached (Log::setTelemetry). Producer-side only.
+  /// after a hub is attached (BufferedLog::setTelemetry). Producer-side
+  /// only.
   TelemetryCell *TC = nullptr;
 };
 
-/// The sharded, batched log backend. See the file comment for the
-/// ordering and registration contract.
-class BufferedLog final : public Log {
+/// The execution log. See the file comment for the ordering and
+/// registration contract. Appends may come from many threads; records are
+/// consumed in append order by a single reader.
+class BufferedLog final {
 public:
   struct Options {
     /// Ring capacity per producer thread, in records; rounded up to a
@@ -113,13 +121,13 @@ public:
     /// distance a producer can run ahead of the flusher.
     size_t ShardCapacity = 1024;
     /// When non-empty, the flusher serializes every flushed batch to this
-    /// file (same format as FileLog; readable with loadLogFile). With
-    /// Backpressure.SegmentBytes > 0 the output rotates into a segment
-    /// chain instead of one file.
+    /// file (readable with loadLogFile). With Backpressure.SegmentBytes >
+    /// 0 the output rotates into a segment chain instead of one file.
     std::string FilePath;
     /// Keep flushed records in memory for next()/tryNext()/nextBatch().
-    /// Disable for logging-only measurement runs where nothing consumes
-    /// the log (the FileLog RetainTail=false analogue).
+    /// Disable for logging-only runs where nothing consumes the log (the
+    /// file, when set, is then the only sink, and the readers only ever
+    /// see end-of-log after close()).
     bool RetainRecords = true;
     /// Bound + policy for the merged reader queue. The shard rings are
     /// already bounded (ShardCapacity per thread); this bounds the
@@ -134,29 +142,94 @@ public:
 
   BufferedLog();
   explicit BufferedLog(Options O);
-  ~BufferedLog() override;
+  ~BufferedLog();
+
+  BufferedLog(const BufferedLog &) = delete;
+  BufferedLog &operator=(const BufferedLog &) = delete;
 
   /// False iff Options::FilePath was set and the file could not be opened.
   bool valid() const { return Valid; }
 
   /// Thread-safe append from any thread: resolves the caller's shard and
-  /// appends through it. Hot paths should cache writer() instead.
-  uint64_t append(Action A) override;
+  /// appends through it, returning the record's sequence number. Hot
+  /// paths should cache writer() instead.
+  uint64_t append(Action A);
 
-  /// The calling thread's shard, registered on first use.
-  LogWriter &writer() override;
+  /// The append handle the calling thread should use: its own shard,
+  /// registered on first use. The reference stays valid until the log is
+  /// destroyed, but must only be used by the thread that called writer().
+  LogWriter &writer();
 
-  void close() override;
-  bool next(Action &Out) override;
-  bool tryNext(Action &Out, bool &End) override;
-  bool nextBatch(std::vector<Action> &Out, size_t Max) override;
-  uint64_t appendCount() const override;
-  uint64_t byteCount() const override;
-  BackpressureStats backpressureStats() const override;
-  void setShedClassifier(std::function<bool(const Action &)> Fn) override;
-  void reclaimCheckedPrefix(uint64_t Watermark) override;
-  void takeSegmentCuts(std::vector<SegmentCut> &Out) override;
-  void onPolicyChange() override;
+  /// Marks the log complete and joins the flusher. After close(), next()
+  /// drains the remaining records and then returns false. Idempotent.
+  /// Must not race with appends: call it after the producers are done.
+  void close();
+
+  /// Blocks until a record is available or the log is closed and drained.
+  /// \returns false on end of log.
+  bool next(Action &Out);
+
+  /// Non-blocking variant: returns false with \p End=false when no record
+  /// is ready yet, and false with \p End=true at end of log.
+  bool tryNext(Action &Out, bool &End);
+
+  /// Batch consumption: clears \p Out, blocks until at least one record is
+  /// available (or end of log), then moves up to \p Max ready records into
+  /// \p Out without further blocking. \returns false (with \p Out empty)
+  /// only at end of log. One wakeup and one lock round trip cover the
+  /// whole batch.
+  bool nextBatch(std::vector<Action> &Out, size_t Max);
+
+  /// Number of records appended so far.
+  uint64_t appendCount() const;
+
+  /// Bytes of serialized log produced so far (0 without a file).
+  uint64_t byteCount() const;
+
+  /// Admission counters of the bounded reader queue, merged with the
+  /// segment sink's lifecycle counters. All zero when unbounded.
+  BackpressureStats backpressureStats() const;
+
+  /// Attaches a telemetry hub: appends count Counter::C_LogAppends (with
+  /// sampled Histo::H_AppendNs latencies) and the flusher feeds the
+  /// flush-batch/occupancy metrics. Attach before producers start and
+  /// keep \p T alive until the log is destroyed; pass nullptr to detach.
+  void setTelemetry(Telemetry *T);
+
+  /// Subscribes the bounded stage to a dynamic admission policy: every
+  /// admission decision reads the current BackpressurePolicy ordinal from
+  /// \p Cell instead of the static BackpressureConfig::Policy. The
+  /// AdaptiveController owns the cell (its escalation state); it must
+  /// outlive the log. Install before producers start; null (the default)
+  /// keeps the static policy.
+  void setDynamicPolicy(const std::atomic<uint8_t> *Cell);
+
+  /// Subscribes the flusher's emit quantum to the adaptive batch target.
+  /// Same lifetime rules as setDynamicPolicy.
+  void setBatchTargetHint(const std::atomic<size_t> *Cell);
+
+  /// Dynamic-policy nudge: called (from the pump thread) right after the
+  /// installed policy cell changed, so a flusher parked on BP_Block's
+  /// space wait re-evaluates under the new rung instead of waiting for
+  /// the next room notification.
+  void onPolicyChange();
+
+  /// Installs the observer classifier the BP_Shed policy consults (see
+  /// ShedFilter::setClassifier). Must be called before producers start;
+  /// without a classifier BP_Shed sheds nothing.
+  void setShedClassifier(std::function<bool(const Action &)> Fn);
+
+  /// Checked-prefix reclamation: every record with Seq < \p Watermark has
+  /// been fully checked and will never be read again, so covered segment
+  /// files are deleted (segmented logs only). Called from the
+  /// verification (pump) thread.
+  void reclaimCheckedPrefix(uint64_t Watermark);
+
+  /// Moves segment rotations performed since the last call into \p Out
+  /// (appended, oldest first) — the cut points the Verifier snapshots
+  /// checker state at (docs/SNAPSHOTS.md). Only segmented logs produce
+  /// cuts. Called from the verification (pump) thread.
+  void takeSegmentCuts(std::vector<SegmentCut> &Out);
 
   /// Number of producer threads that have registered a shard.
   size_t shardCount() const;
@@ -177,6 +250,8 @@ private:
   void enqueueEmitted(uint64_t First, uint64_t S);
   bool readyLocked() const;
   bool tryNextLocked(Action &Out, bool &End);
+  /// next() with the reader-queue lock already held in \p Lock.
+  bool nextLocked(std::unique_lock<std::mutex> &Lock, Action &Out);
   bool spillNextLocked(Action &Out);
   void popFrontLocked(Action &Out);
   /// Drains every shard into the reorder ring. \returns records drained.

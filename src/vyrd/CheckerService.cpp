@@ -202,7 +202,7 @@ public:
 
   /// The sequence number below which every record dispatched to the pool
   /// has been fed to its checker, capped at \p Upper (the pump's routed
-  /// frontier). The pump passes this to Log::reclaimCheckedPrefix.
+  /// frontier). The pump passes it to BufferedLog::reclaimCheckedPrefix.
   uint64_t checkedWatermark(uint64_t Upper) {
     std::lock_guard Lock(M);
     uint64_t W = Upper;
@@ -213,7 +213,7 @@ public:
   }
 
   /// Installs the observer classifier BP_Shed consults (same contract as
-  /// Log::setShedClassifier). Call before the pump dispatches.
+  /// BufferedLog::setShedClassifier). Call before the pump dispatches.
   void setShedClassifier(std::function<bool(const Action &)> Fn) {
     std::lock_guard Lock(M);
     Shed.setClassifier(std::move(Fn));

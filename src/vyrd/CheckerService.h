@@ -114,7 +114,7 @@ public:
 
   /// The sequence number below which every routed record has been fed to
   /// its checker, capped at \p Upper (the caller's routed frontier).
-  /// Drives Log::reclaimCheckedPrefix.
+  /// Drives BufferedLog::reclaimCheckedPrefix.
   uint64_t checkedWatermark(uint64_t Upper);
 
   /// Waits until every dispatched batch has been fed (no-op without a

@@ -27,7 +27,7 @@
 #define VYRD_INSTRUMENT_H
 
 #include "vyrd/Action.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 #include "vyrd/Telemetry.h"
 
 #include <atomic>
@@ -79,21 +79,21 @@ private:
 /// structure instance. Copies are cheap (pointer + level).
 ///
 /// Records are appended through the log's per-thread writer handle
-/// (Log::writer), not Log::append: for sharded backends (BufferedLog) the
-/// handle is the calling thread's own lock-free shard, so the hot path
-/// performs no locking; for the mutex-guarded backends the handle is the
-/// log itself and behaves exactly as a direct append.
+/// (BufferedLog::writer), not BufferedLog::append: the handle is the
+/// calling thread's own lock-free shard, so the hot path performs no
+/// locking.
 class Hooks {
 public:
   Hooks() : L(nullptr), Level(LogLevel::LL_None) {}
-  Hooks(Log *L, LogLevel Level, Telemetry *T = nullptr, ObjectId Obj = 0)
+  Hooks(BufferedLog *L, LogLevel Level, Telemetry *T = nullptr,
+        ObjectId Obj = 0)
       : L(L), Level(Level), Telem(T), Obj(Obj) {}
 
   LogLevel level() const { return Level; }
   bool enabled() const { return L && Level != LogLevel::LL_None; }
   /// Whether write/replay records are being collected.
   bool viewLevel() const { return L && Level == LogLevel::LL_View; }
-  Log *log() const { return L; }
+  BufferedLog *log() const { return L; }
   /// The verified object every record emitted through this hook is stamped
   /// with (Verifier::registerObject hands out one Hooks per object).
   ObjectId object() const { return Obj; }
@@ -131,9 +131,8 @@ public:
 
 private:
   /// Appends via the calling thread's writer handle. The handle lookup is
-  /// a thread-local cache hit for sharded backends and `return *this` for
-  /// the others, so it stays on the fast path (as is the telemetry cell
-  /// lookup when a hub is attached).
+  /// a thread-local cache hit, so it stays on the fast path (as is the
+  /// telemetry cell lookup when a hub is attached).
   void emit(Action A) const {
     if (telemetryCompiledIn() && Telem)
       Telem->count(Counter::C_HookRecords);
@@ -141,7 +140,7 @@ private:
     L->writer().append(std::move(A));
   }
 
-  Log *L;
+  BufferedLog *L;
   LogLevel Level;
   Telemetry *Telem = nullptr;
   ObjectId Obj = 0;

@@ -6,573 +6,16 @@
 
 #include "vyrd/Log.h"
 
-#include "vyrd/Telemetry.h"
+#include "vyrd/Backpressure.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstring>
 
 using namespace vyrd;
 
-namespace {
-
-/// Append accounting shared by the mutex-guarded backends: counts the
-/// append and, when \p T0 is non-zero (a sample point), records the
-/// latency — mirroring what BufferedLog's shards do so backend
-/// comparisons stay apples-to-apples.
-void countAppend(Telemetry *T, uint64_t T0) {
-  if (!telemetryCompiledIn() || !T)
-    return;
-  TelemetryCell &TC = T->cell();
-  TC.count(Counter::C_LogAppends);
-  if (T0)
-    TC.record(Histo::H_AppendNs, telemetryNowNanos() - T0);
-}
-
-/// Every 64th append per thread is a latency-sample point.
-bool sampleTick() {
-  thread_local uint64_t Tick = 0;
-  return (Tick++ & 63) == 0;
-}
-
-/// Shared-gauge accounting for a record entering / leaving a bounded
-/// in-memory queue (see the Gauge enum: these are hub-level levels, not
-/// per-thread counters).
-void gaugeAdmit(Telemetry *T, size_t FootprintBytes) {
-  if (!telemetryCompiledIn() || !T)
-    return;
-  T->gaugeAdd(Gauge::G_PendingRecords, 1);
-  T->gaugeAdd(Gauge::G_TailBytes, FootprintBytes);
-}
-
-void gaugeRelease(Telemetry *T, size_t FootprintBytes) {
-  if (!telemetryCompiledIn() || !T)
-    return;
-  T->gaugeSub(Gauge::G_PendingRecords, 1);
-  T->gaugeSub(Gauge::G_TailBytes, FootprintBytes);
-}
-
-} // namespace
-
 LogWriter::~LogWriter() = default;
-Log::~Log() = default;
-
-bool Log::nextBatch(std::vector<Action> &Out, size_t Max) {
-  Out.clear();
-  if (Max == 0)
-    Max = 1;
-  Action A;
-  if (!next(A))
-    return false;
-  Out.push_back(std::move(A));
-  bool End = false;
-  while (Out.size() < Max && tryNext(A, End))
-    Out.push_back(std::move(A));
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
-// MemoryLog
-//===----------------------------------------------------------------------===//
-
-MemoryLog::MemoryLog() = default;
-MemoryLog::MemoryLog(const BackpressureConfig &BPConfig) : BP(BPConfig) {}
-MemoryLog::~MemoryLog() = default;
-
-bool MemoryLog::overLimitLocked() const {
-  return Q.size() >= BP.MaxPendingRecords ||
-         (BP.MaxTailBytes && QueueBytes >= BP.MaxTailBytes);
-}
-
-uint64_t MemoryLog::append(Action A) {
-  Telemetry *T = telemetry();
-  uint64_t T0 = 0;
-  if (telemetryCompiledIn() && T && sampleTick())
-    T0 = telemetryNowNanos();
-  uint64_t Seq;
-  {
-    std::unique_lock Lock(M);
-    assert(!Closed && "append after close");
-    A.Seq = NextSeq++;
-    Seq = A.Seq;
-    if (BP.Enabled) {
-      BackpressurePolicy P = activePolicy(BP);
-      bool Over = overLimitLocked();
-      // With a dynamic policy the shed filter is consulted even while the
-      // active policy is not BP_Shed (with OverLimit pinned false): a
-      // record continuing an execution whose call was shed under an
-      // earlier escalation must go down with it, whatever the policy is
-      // by the time it arrives — executions are dropped whole or not at
-      // all.
-      if ((P == BackpressurePolicy::BP_Shed || hasDynamicPolicy()) &&
-          Shed.shouldShed(A, Over && P == BackpressurePolicy::BP_Shed)) {
-        // Dropped entirely — there is no disk copy here. The sequence
-        // number stays consumed so the witness order of admitted records
-        // is unchanged (the checker never needs dense numbers).
-        ++Stats.ShedRecords;
-        if (telemetryCompiledIn() && T)
-          T->count(Counter::C_ShedRecords);
-        countAppend(T, T0);
-        return Seq;
-      }
-      if (P != BackpressurePolicy::BP_Shed && Over) {
-        // BP_Block — and BP_SpillToDisk, which has nowhere to spill in a
-        // purely in-memory log and degrades to blocking (validate()
-        // rejects the combination for Verifier-owned logs). A dynamic
-        // policy escalating past BP_Block wakes the waiters through
-        // onPolicyChange() and re-decides admission under the new rung.
-        ++Stats.BlockedAppends;
-        uint64_t W0 = telemetryNowNanos();
-        SpaceCV.wait(Lock, [&] {
-          return !overLimitLocked() || Closed ||
-                 activePolicy(BP) == BackpressurePolicy::BP_Shed;
-        });
-        uint64_t Waited = telemetryNowNanos() - W0;
-        Stats.BlockedNanos += Waited;
-        if (telemetryCompiledIn() && T) {
-          T->count(Counter::C_BlockedAppends);
-          T->record(Histo::H_BlockedNs, Waited);
-        }
-        if (!Closed && overLimitLocked() &&
-            activePolicy(BP) == BackpressurePolicy::BP_Shed &&
-            Shed.shouldShed(A, true)) {
-          ++Stats.ShedRecords;
-          if (telemetryCompiledIn() && T)
-            T->count(Counter::C_ShedRecords);
-          countAppend(T, T0);
-          return Seq;
-        }
-      }
-      size_t FP = actionFootprintBytes(A);
-      QueueBytes += FP;
-      Stats.PendingRecordsHwm =
-          std::max<uint64_t>(Stats.PendingRecordsHwm, Q.size() + 1);
-      Stats.TailBytesHwm = std::max<uint64_t>(Stats.TailBytesHwm, QueueBytes);
-      gaugeAdmit(T, FP);
-    }
-    Q.push_back(std::move(A));
-    CV.notify_one();
-  }
-  countAppend(T, T0);
-  return Seq;
-}
-
-void MemoryLog::close() {
-  std::lock_guard Lock(M);
-  Closed = true;
-  CV.notify_all();
-  SpaceCV.notify_all();
-}
-
-void MemoryLog::popLocked(Action &Out) {
-  Out = std::move(Q.front());
-  Q.pop_front();
-  if (BP.Enabled) {
-    size_t FP = actionFootprintBytes(Out);
-    QueueBytes -= std::min<uint64_t>(FP, QueueBytes);
-    gaugeRelease(telemetry(), FP);
-    SpaceCV.notify_one();
-  }
-}
-
-bool MemoryLog::next(Action &Out) {
-  std::unique_lock Lock(M);
-  CV.wait(Lock, [&] { return !Q.empty() || Closed; });
-  if (Q.empty())
-    return false;
-  popLocked(Out);
-  return true;
-}
-
-bool MemoryLog::tryNext(Action &Out, bool &End) {
-  std::unique_lock Lock(M);
-  if (!Q.empty()) {
-    popLocked(Out);
-    End = false;
-    return true;
-  }
-  End = Closed;
-  return false;
-}
-
-bool MemoryLog::nextBatch(std::vector<Action> &Out, size_t Max) {
-  Out.clear();
-  if (Max == 0)
-    Max = 1;
-  std::unique_lock Lock(M);
-  CV.wait(Lock, [&] { return !Q.empty() || Closed; });
-  if (Q.empty())
-    return false;
-  uint64_t FPSum = 0;
-  while (!Q.empty() && Out.size() < Max) {
-    Out.push_back(std::move(Q.front()));
-    Q.pop_front();
-    if (BP.Enabled)
-      FPSum += actionFootprintBytes(Out.back());
-  }
-  if (BP.Enabled) {
-    QueueBytes -= std::min<uint64_t>(FPSum, QueueBytes);
-    if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
-      T->gaugeSub(Gauge::G_PendingRecords, Out.size());
-      T->gaugeSub(Gauge::G_TailBytes, FPSum);
-    }
-    // One wakeup for the whole batch: the base-class per-record path
-    // notified once per pop, which on a saturated bounded queue meant a
-    // producer/consumer context-switch pair every record.
-    SpaceCV.notify_all();
-  }
-  return true;
-}
-
-uint64_t MemoryLog::appendCount() const {
-  std::lock_guard Lock(M);
-  return NextSeq;
-}
-
-BackpressureStats MemoryLog::backpressureStats() const {
-  std::lock_guard Lock(M);
-  return Stats;
-}
-
-void MemoryLog::setShedClassifier(std::function<bool(const Action &)> Fn) {
-  std::lock_guard Lock(M);
-  Shed.setClassifier(std::move(Fn));
-}
-
-void MemoryLog::onPolicyChange() {
-  std::lock_guard Lock(M);
-  SpaceCV.notify_all();
-}
-
-//===----------------------------------------------------------------------===//
-// FileLog
-//===----------------------------------------------------------------------===//
-
-FileLog::FileLog(const std::string &Path, bool &Valid, bool RetainTail)
-    : FileLog(Path, Valid, BackpressureConfig(), RetainTail) {}
-
-FileLog::FileLog(const std::string &Path, bool &Valid,
-                 const BackpressureConfig &BPConfig, bool RetainTail)
-    : Path(Path), RetainTail(RetainTail), BP(BPConfig) {
-  // Plain-file mode (SegmentBytes == 0) writes the same v3 header and
-  // byte stream as the historical single-FILE implementation; segmented
-  // mode rotates into a chain (docs/LOGFORMAT.md, v4).
-  Valid = Sink.open(Path, BP.SegmentBytes);
-}
-
-FileLog::~FileLog() = default;
-
-bool FileLog::overLimitLocked() const {
-  return Tail.size() >= BP.MaxPendingRecords ||
-         (BP.MaxTailBytes && TailBytes >= BP.MaxTailBytes);
-}
-
-bool FileLog::spillCapable() const {
-  // Static spill configurations, plus any dynamic-policy configuration
-  // (the escalation ladder of a file-backed log always contains the
-  // spill rung): the reader must then track its delivery frontier from
-  // the start — a mid-run escalation into spill with a stale frontier
-  // would re-deliver the whole file.
-  return BP.Enabled && RetainTail &&
-         (BP.Policy == BackpressurePolicy::BP_SpillToDisk ||
-          hasDynamicPolicy());
-}
-
-void FileLog::noteShedGapLocked(uint64_t Seq) {
-  if (!ShedGaps.empty() && ShedGaps.back().second == Seq)
-    ++ShedGaps.back().second;
-  else
-    ShedGaps.push_back({Seq, Seq + 1});
-}
-
-void FileLog::admitTailLocked(std::unique_lock<std::mutex> &Lock,
-                              Action &&A) {
-  Telemetry *T = telemetry();
-  if (BP.Enabled) {
-    bool Blocked = false;
-    bool Admit = true;
-    uint64_t W0 = 0;
-    for (;;) {
-      BackpressurePolicy P = activePolicy(BP);
-      bool Over = overLimitLocked();
-      // The shed filter is consulted whenever the policy is (or, with a
-      // dynamic ladder, could earlier have been) BP_Shed: records
-      // continuing an execution whose call was shed must go down with
-      // it regardless of the rung in force now.
-      if (P == BackpressurePolicy::BP_Shed || hasDynamicPolicy()) {
-        if (Shed.shouldShed(A, Over && P == BackpressurePolicy::BP_Shed)) {
-          // Dropped from the *tail* only: the record is already on disk,
-          // so post-mortem re-checking sees the complete log. The
-          // accounting says exactly what the online checker did not.
-          ++Stats.ShedRecords;
-          if (telemetryCompiledIn() && T)
-            T->count(Counter::C_ShedRecords);
-          if (spillCapable())
-            noteShedGapLocked(A.Seq); // not a spill gap: never re-read
-          Admit = false;
-          break;
-        }
-        if (P == BackpressurePolicy::BP_Shed)
-          break; // shed admits everything it does not drop
-      }
-      if (P == BackpressurePolicy::BP_SpillToDisk) {
-        if (Over) {
-          // The disk copy is the overflow buffer; the reader re-reads the
-          // gap through a tailing LogFileReader when it catches up.
-          ++Stats.SpilledRecords;
-          if (telemetryCompiledIn() && T)
-            T->count(Counter::C_SpilledRecords);
-          Admit = false;
-        }
-        break;
-      }
-      // BP_Block.
-      if (!Over || Closed)
-        break;
-      if (!Blocked) {
-        Blocked = true;
-        ++Stats.BlockedAppends;
-        W0 = telemetryNowNanos();
-      }
-      SpaceCV.wait(Lock, [&] {
-        return !overLimitLocked() || Closed ||
-               activePolicy(BP) != BackpressurePolicy::BP_Block;
-      });
-      // Loop: the policy may have escalated while we slept — re-decide
-      // admission under the new rung.
-    }
-    if (Blocked) {
-      uint64_t Waited = telemetryNowNanos() - W0;
-      Stats.BlockedNanos += Waited;
-      if (telemetryCompiledIn() && T) {
-        T->count(Counter::C_BlockedAppends);
-        T->record(Histo::H_BlockedNs, Waited);
-      }
-    }
-    if (!Admit)
-      return;
-    size_t FP = actionFootprintBytes(A);
-    TailBytes += FP;
-    Stats.PendingRecordsHwm =
-        std::max<uint64_t>(Stats.PendingRecordsHwm, Tail.size() + 1);
-    Stats.TailBytesHwm = std::max<uint64_t>(Stats.TailBytesHwm, TailBytes);
-    gaugeAdmit(T, FP);
-  }
-  Tail.push_back(std::move(A));
-  CV.notify_one();
-}
-
-uint64_t FileLog::append(Action A) {
-  Telemetry *T = telemetry();
-  uint64_t T0 = 0;
-  if (telemetryCompiledIn() && T && sampleTick())
-    T0 = telemetryNowNanos();
-  uint64_t Seq;
-  {
-    std::unique_lock Lock(M);
-    assert(!Closed && "append after close");
-    A.Seq = NextSeq++;
-    Seq = A.Seq;
-    // To disk first (one buffered fwrite, as before), so every sequence
-    // number below NextSeq is reachable through the sink — the invariant
-    // the spill reader relies on.
-    Sink.write(A);
-    Sink.flushPending();
-    if (RetainTail)
-      admitTailLocked(Lock, std::move(A));
-  }
-  countAppend(T, T0);
-  return Seq;
-}
-
-void FileLog::close() {
-  std::lock_guard Lock(M);
-  Closed = true;
-  Sink.sync();
-  CV.notify_all();
-  SpaceCV.notify_all();
-}
-
-void FileLog::popTailLocked(Action &Out) {
-  Out = std::move(Tail.front());
-  Tail.pop_front();
-  if (BP.Enabled) {
-    size_t FP = actionFootprintBytes(Out);
-    TailBytes -= std::min<uint64_t>(FP, TailBytes);
-    gaugeRelease(telemetry(), FP);
-    SpaceCV.notify_one();
-    // Monotone: a stale pop (a record the spill reader already
-    // delivered from disk while its producer was still blocked) must
-    // not rewind the frontier, or the next tail record is delivered
-    // twice.
-    if (spillCapable() && Out.Seq + 1 > Delivered) {
-      Delivered = Out.Seq + 1;
-      if (SpillReader)
-        SpillReader.reset(); // stale: positioned inside a finished gap
-      while (!ShedGaps.empty() && ShedGaps.front().second <= Delivered)
-        ShedGaps.erase(ShedGaps.begin());
-    }
-  }
-}
-
-bool FileLog::spillNextLocked(Action &Out) {
-  // Called with Delivered < NextSeq: the record exists at the sink (it
-  // was written before NextSeq advanced past it), at worst still in
-  // stdio buffers — which sync() pushes down.
-  if (!SpillReader || SpillNextSeq != Delivered) {
-    Sink.sync();
-    auto R = std::make_unique<LogFileReader>(Sink.pathForSeq(Delivered));
-    R->setTailing(true);
-    if (!R->valid())
-      return false;
-    SpillReader = std::move(R);
-    SpillNextSeq = Delivered; // reads below skip up to it
-  }
-  for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    Action A;
-    while (SpillReader->next(A)) {
-      SpillNextSeq = A.Seq + 1;
-      if (A.Seq < Delivered)
-        continue; // the reader opened at a segment boundary before the gap
-      // Records shed from the tail under a dynamic policy exist on disk
-      // too; the catch-up reader must not resurrect them.
-      while (!ShedGaps.empty() && ShedGaps.front().second <= A.Seq)
-        ShedGaps.erase(ShedGaps.begin());
-      if (!ShedGaps.empty() && A.Seq >= ShedGaps.front().first) {
-        Delivered = A.Seq + 1;
-        continue;
-      }
-      Delivered = A.Seq + 1; // every on-disk seq is delivered or skipped
-      Out = std::move(A);
-      return true;
-    }
-    if (SpillReader->malformed()) {
-      // Disk corruption in the spilled region: the gap can never be
-      // delivered. Latch the failure (instead of reopening forever) and
-      // let the reader run out at the gap.
-      std::fprintf(stderr,
-                   "vyrd: spill re-read failed (malformed log near seq "
-                   "%llu); online checking truncated\n",
-                   static_cast<unsigned long long>(Delivered));
-      SpillReader.reset();
-      SpillFailed = true;
-      return false;
-    }
-    Sink.sync(); // the record may still be buffered; retry once synced
-  }
-  return false;
-}
-
-bool FileLog::readyLocked() const {
-  if (!Tail.empty())
-    return true;
-  return spillCapable() && !SpillFailed && Delivered < NextSeq;
-}
-
-bool FileLog::tryNextLocked(Action &Out, bool &End) {
-  if (!spillCapable()) {
-    if (!Tail.empty()) {
-      popTailLocked(Out);
-      End = false;
-      return true;
-    }
-    End = Closed;
-    return false;
-  }
-  // Spill mode: deliver strictly in sequence order, preferring the tail
-  // and filling gaps (spilled regions) from the sink's file(s).
-  // Overlap happens under a block-base dynamic ladder: a producer
-  // blocked on space has already written its record to disk, so a fast
-  // reader can spill-read it before the producer wakes and pushes it
-  // into the tail.
-  while (!Tail.empty() && Tail.front().Seq < Delivered) {
-    Action Drop;
-    popTailLocked(Drop); // already delivered from disk
-  }
-  if (!Tail.empty() && Tail.front().Seq == Delivered) {
-    popTailLocked(Out);
-    End = false;
-    return true;
-  }
-  if (Delivered < NextSeq && !SpillFailed) {
-    End = false;
-    return spillNextLocked(Out); // false = not visible yet, caller retries
-  }
-  End = Closed;
-  return false;
-}
-
-bool FileLog::next(Action &Out) {
-  std::unique_lock Lock(M);
-  while (true) {
-    CV.wait(Lock, [&] { return readyLocked() || Closed; });
-    bool End = false;
-    if (tryNextLocked(Out, End))
-      return true;
-    if (End)
-      return false;
-    // Spill data momentarily invisible (stdio buffering around a
-    // rotation); spillNextLocked has already synced, so retrying is
-    // enough — the loop converges within an attempt or two.
-  }
-}
-
-bool FileLog::tryNext(Action &Out, bool &End) {
-  std::unique_lock Lock(M);
-  return tryNextLocked(Out, End);
-}
-
-uint64_t FileLog::appendCount() const {
-  std::lock_guard Lock(M);
-  return NextSeq;
-}
-
-uint64_t FileLog::byteCount() const { return Sink.bytesWritten(); }
-
-BackpressureStats FileLog::backpressureStats() const {
-  std::lock_guard Lock(M);
-  BackpressureStats S = Stats;
-  S.merge(Sink.stats());
-  return S;
-}
-
-void FileLog::setShedClassifier(std::function<bool(const Action &)> Fn) {
-  std::lock_guard Lock(M);
-  Shed.setClassifier(std::move(Fn));
-}
-
-void FileLog::onPolicyChange() {
-  std::lock_guard Lock(M);
-  SpaceCV.notify_all();
-}
-
-void FileLog::takeSegmentCuts(std::vector<SegmentCut> &Out) {
-  if (BP.SegmentBytes)
-    Sink.drainCuts(Out);
-}
-
-void FileLog::reclaimCheckedPrefix(uint64_t Watermark) {
-  if (!BP.SegmentBytes)
-    return;
-  if (BP.ReclaimSegments)
-    Sink.reclaimThrough(Watermark);
-  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
-    T->gaugeSet(Gauge::G_SegmentsLive, Sink.liveSegments());
-    BackpressureStats S = Sink.stats();
-    if (S.SegmentsCreated > SegCreatedSeen) {
-      T->count(Counter::C_SegmentsCreated, S.SegmentsCreated - SegCreatedSeen);
-      SegCreatedSeen = S.SegmentsCreated;
-    }
-    if (S.SegmentsReclaimed > SegReclaimedSeen) {
-      T->count(Counter::C_SegmentsReclaimed,
-               S.SegmentsReclaimed - SegReclaimedSeen);
-      SegReclaimedSeen = S.SegmentsReclaimed;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// loadLogFile
+// LogFileReader / loadLogFile
 //===----------------------------------------------------------------------===//
 
 /// Read-window granularity: one fread and one decode sweep per megabyte

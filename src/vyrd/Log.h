@@ -8,10 +8,11 @@
 /// The log decouples the instrumented program from refinement checking
 /// (Sec. 4.2): implementation threads append records as they run; the
 /// verification thread reads them, concurrently (online) or afterwards
-/// (offline). Three implementations are provided: MemoryLog (a guarded
-/// queue), FileLog (durable binary file whose tail is kept in memory for
-/// fast access, as in the paper), and BufferedLog (per-thread sharded
-/// rings merged off the hot path; see BufferedLog.h).
+/// (offline). The log itself is BufferedLog (BufferedLog.h): per-thread
+/// sharded rings merged off the hot path into one global order, written
+/// to a file whose tail is kept in memory, as in the paper. This header
+/// holds the pieces shared by producers and readers of that log: the
+/// LogWriter producer interface and the streaming reader over log files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,28 +20,18 @@
 #define VYRD_LOG_H
 
 #include "vyrd/Action.h"
-#include "vyrd/Backpressure.h"
-#include "vyrd/Ring.h"
 #include "vyrd/Serialize.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace vyrd {
 
-class Telemetry;
-class LogFileReader;
-
-/// The producer side of a log: the handle instrumentation hooks append
-/// through. Log itself is a LogWriter (append forwards to the log), and
-/// sharded backends hand out one writer per producer thread so the hot
-/// path never touches shared state (see Log::writer).
+/// The producer side of the log: the handle instrumentation hooks append
+/// through. BufferedLog hands out one writer per producer thread (its
+/// shard), so the hot path never touches shared state (see
+/// BufferedLog::writer).
 class LogWriter {
 public:
   virtual ~LogWriter();
@@ -51,267 +42,7 @@ public:
   virtual uint64_t append(Action A) = 0;
 };
 
-/// Abstract append/consume log. Appends may come from many threads; records
-/// are consumed in append order by a single reader.
-class Log : public LogWriter {
-public:
-  ~Log() override;
-
-  /// Marks the log complete. After close(), next() drains remaining records
-  /// and then returns false. Idempotent. Must not race with appends: call
-  /// it after the producer threads are done.
-  virtual void close() = 0;
-
-  /// Blocks until a record is available or the log is closed and drained.
-  /// \returns false on end of log.
-  virtual bool next(Action &Out) = 0;
-
-  /// Non-blocking variant: returns false with \p End=false when no record is
-  /// ready yet, and false with \p End=true at end of log.
-  virtual bool tryNext(Action &Out, bool &End) = 0;
-
-  /// Batch consumption: clears \p Out, blocks until at least one record is
-  /// available (or end of log), then moves up to \p Max ready records into
-  /// \p Out without further blocking. \returns false (with \p Out empty)
-  /// only at end of log. Readers that batch amortize one wakeup and one
-  /// lock round trip over the whole batch; the default implementation is
-  /// built on next()/tryNext(), backends may override with something
-  /// cheaper.
-  virtual bool nextBatch(std::vector<Action> &Out, size_t Max);
-
-  /// The append handle the calling thread should use. The default is the
-  /// log itself (append is fully thread-safe); sharded backends return a
-  /// per-thread handle registered on first use. The returned reference
-  /// stays valid until the log is destroyed, but must only be used by the
-  /// thread that called writer().
-  virtual LogWriter &writer() { return *this; }
-
-  /// Number of records appended so far.
-  virtual uint64_t appendCount() const = 0;
-
-  /// Bytes of serialized log produced so far (0 for purely in-memory logs).
-  virtual uint64_t byteCount() const { return 0; }
-
-  /// Attaches a telemetry hub: appends count Counter::C_LogAppends (with
-  /// sampled Histo::H_AppendNs latencies) and BufferedLog's flusher feeds
-  /// the flush-batch/occupancy metrics. Attach before producers start and
-  /// keep \p T alive until the log is destroyed; pass nullptr to detach.
-  void setTelemetry(Telemetry *T) {
-    Telem.store(T, std::memory_order_release);
-  }
-
-  /// Admission counters of the backend's bounded stage. All zero for
-  /// unbounded configurations (the base default).
-  virtual BackpressureStats backpressureStats() const { return {}; }
-
-  /// Subscribes the bounded stage to a dynamic admission policy: every
-  /// admission decision reads the current BackpressurePolicy ordinal from
-  /// \p Cell instead of the static BackpressureConfig::Policy. The
-  /// AdaptiveController owns the cell (its escalation state); it must
-  /// outlive the log. Install before producers start; null (the default)
-  /// keeps the static policy.
-  void setDynamicPolicy(const std::atomic<uint8_t> *Cell) {
-    DynPolicy.store(Cell, std::memory_order_release);
-  }
-
-  /// Subscribes the backend's drain stage (BufferedLog's flusher emit
-  /// quantum) to the adaptive batch target. Backends without a drain
-  /// quantum ignore it. Same lifetime rules as setDynamicPolicy.
-  void setBatchTargetHint(const std::atomic<size_t> *Cell) {
-    BatchHint.store(Cell, std::memory_order_release);
-  }
-
-  /// Dynamic-policy nudge: called (from the pump thread) right after the
-  /// installed policy cell changed, so producers parked on a
-  /// policy-specific wait (BP_Block's space CV) re-evaluate under the new
-  /// rung instead of waiting for the next room notification. Default
-  /// no-op.
-  virtual void onPolicyChange() {}
-
-  /// Installs the observer classifier the BP_Shed policy consults (see
-  /// ShedFilter::setClassifier). Must be called before producers start;
-  /// without a classifier BP_Shed sheds nothing. No-op on backends
-  /// without a bounded stage.
-  virtual void setShedClassifier(std::function<bool(const Action &)> Fn) {
-    (void)Fn;
-  }
-
-  /// Checked-prefix reclamation: every record with Seq < \p Watermark has
-  /// been fully checked and will never be read again. Segmented
-  /// file-backed logs delete covered segment files; other backends
-  /// ignore it. Called from the verification (pump) thread.
-  virtual void reclaimCheckedPrefix(uint64_t Watermark) { (void)Watermark; }
-
-  /// Moves segment rotations performed since the last call into \p Out
-  /// (appended, oldest first) — the cut points the Verifier snapshots
-  /// checker state at (docs/SNAPSHOTS.md). Only segmented file-backed
-  /// backends produce cuts; the default leaves \p Out unchanged. Called
-  /// from the verification (pump) thread.
-  virtual void takeSegmentCuts(std::vector<SegmentCut> &Out) { (void)Out; }
-
-protected:
-  /// The attached hub, or null. Hot paths should read it once and cache
-  /// the per-thread cell.
-  Telemetry *telemetry() const {
-    return Telem.load(std::memory_order_acquire);
-  }
-
-  /// The admission policy currently in force: the dynamic cell's value
-  /// when one is installed, the static configuration otherwise.
-  BackpressurePolicy activePolicy(const BackpressureConfig &BP) const {
-    const std::atomic<uint8_t> *C = DynPolicy.load(std::memory_order_acquire);
-    return C ? static_cast<BackpressurePolicy>(
-                   C->load(std::memory_order_relaxed))
-             : BP.Policy;
-  }
-
-  /// Whether a dynamic policy cell is installed (the policy can change
-  /// mid-run; spill-capable backends must then track their delivery
-  /// frontier from the start — see FileLog).
-  bool hasDynamicPolicy() const {
-    return DynPolicy.load(std::memory_order_acquire) != nullptr;
-  }
-
-  /// The adaptive drain quantum, or \p Default when none is installed.
-  size_t batchTargetHint(size_t Default) const {
-    const std::atomic<size_t> *C = BatchHint.load(std::memory_order_acquire);
-    return C ? C->load(std::memory_order_relaxed) : Default;
-  }
-
-private:
-  std::atomic<Telemetry *> Telem{nullptr};
-  std::atomic<const std::atomic<uint8_t> *> DynPolicy{nullptr};
-  std::atomic<const std::atomic<size_t> *> BatchHint{nullptr};
-};
-
-/// In-memory log: a mutex-guarded queue with a condition variable for the
-/// reader. Records are released as they are consumed. With a
-/// BackpressureConfig the queue is bounded: BP_Block parks the producer
-/// until the reader makes room, BP_Shed drops observer executions
-/// (BP_SpillToDisk has no disk here and degrades to BP_Block — the
-/// Verifier's validate() rejects the combination up front).
-class MemoryLog : public Log {
-public:
-  MemoryLog();
-  explicit MemoryLog(const BackpressureConfig &BP);
-  ~MemoryLog() override;
-
-  uint64_t append(Action A) override;
-  void close() override;
-  bool next(Action &Out) override;
-  bool tryNext(Action &Out, bool &End) override;
-  /// Bulk drain: one lock round trip and one producer wakeup for the
-  /// whole batch instead of per record — the sync cost the adaptive
-  /// batch target amortizes under backlog.
-  bool nextBatch(std::vector<Action> &Out, size_t Max) override;
-  uint64_t appendCount() const override;
-  BackpressureStats backpressureStats() const override;
-  void setShedClassifier(std::function<bool(const Action &)> Fn) override;
-  void onPolicyChange() override;
-
-private:
-  bool overLimitLocked() const;
-  void popLocked(Action &Out);
-
-  mutable std::mutex M;
-  std::condition_variable CV;
-  /// BP_Block producers wait here; separate from CV so a room-making pop
-  /// never wakes the reader and vice versa.
-  std::condition_variable SpaceCV;
-  ChunkQueue<Action> Q; // chunk-recycling: see Ring.h
-  uint64_t NextSeq = 0;
-  bool Closed = false;
-
-  BackpressureConfig BP;
-  ShedFilter Shed;        // guarded by M
-  BackpressureStats Stats; // guarded by M
-  uint64_t QueueBytes = 0; // estimated bytes Q pins (BP enabled only)
-};
-
-/// File-backed log. Every record is serialized and written to the file; the
-/// encoded tail is also kept in an in-memory queue so the online reader does
-/// not touch the disk (Sec. 4.2: "the log is a file whose tail is kept in
-/// memory for faster access"). The file can be re-read later with
-/// loadLogFile for post-mortem checking.
-///
-/// With a BackpressureConfig the in-memory tail is bounded. BP_Block
-/// parks the producer; BP_SpillToDisk stops retaining over-limit records
-/// in the tail (they are on disk anyway) and the reader re-reads the
-/// spilled region through a tailing LogFileReader when it catches up;
-/// BP_Shed drops observer executions from the tail only — the disk log
-/// stays complete for post-mortem re-checking, the accounting says
-/// exactly what the online checker did not see. SegmentBytes > 0 rotates
-/// the output into a segment chain (SegmentSink) that
-/// reclaimCheckedPrefix() trims as checkers advance.
-class FileLog : public Log {
-public:
-  /// Creates/truncates \p Path. \p Valid reports whether the file opened.
-  /// With \p RetainTail false no in-memory tail is kept (next() then only
-  /// reports end-of-log after close): use for logging-only measurement
-  /// runs where nothing consumes the log online.
-  FileLog(const std::string &Path, bool &Valid, bool RetainTail = true);
-  FileLog(const std::string &Path, bool &Valid, const BackpressureConfig &BP,
-          bool RetainTail = true);
-  ~FileLog() override;
-
-  uint64_t append(Action A) override;
-  void close() override;
-  bool next(Action &Out) override;
-  bool tryNext(Action &Out, bool &End) override;
-  uint64_t appendCount() const override;
-  uint64_t byteCount() const override;
-  BackpressureStats backpressureStats() const override;
-  void setShedClassifier(std::function<bool(const Action &)> Fn) override;
-  void onPolicyChange() override;
-  void reclaimCheckedPrefix(uint64_t Watermark) override;
-  void takeSegmentCuts(std::vector<SegmentCut> &Out) override;
-
-  const std::string &path() const { return Path; }
-
-private:
-  bool overLimitLocked() const;
-  bool readyLocked() const;
-  bool spillCapable() const;
-  void admitTailLocked(std::unique_lock<std::mutex> &Lock, Action &&A);
-  bool tryNextLocked(Action &Out, bool &End);
-  bool spillNextLocked(Action &Out);
-  void popTailLocked(Action &Out);
-  void noteShedGapLocked(uint64_t Seq);
-
-  std::string Path;
-  SegmentSink Sink; ///< the disk side: file(s), encoder, rotation
-
-  mutable std::mutex M;
-  std::condition_variable CV;
-  std::condition_variable SpaceCV; // BP_Block producers wait for room
-  ChunkQueue<Action> Tail; // decoded tail for the online reader
-  uint64_t NextSeq = 0;
-  bool Closed = false;
-  bool RetainTail = true;
-
-  BackpressureConfig BP;
-  ShedFilter Shed;         // guarded by M
-  BackpressureStats Stats; // guarded by M
-  uint64_t TailBytes = 0;  // estimated bytes Tail pins (BP enabled only)
-  /// Spill bookkeeping (guarded by M): the next sequence number the
-  /// reader delivers, and the catch-up reader over the sink's file(s)
-  /// positioned so its next record is SpillNextSeq.
-  uint64_t Delivered = 0;
-  std::unique_ptr<LogFileReader> SpillReader;
-  uint64_t SpillNextSeq = 0;
-  bool SpillFailed = false; // latched on corrupt spilled region
-  /// Seq ranges [first, second) dropped by BP_Shed while spill-capable
-  /// (dynamic policy): those records exist on disk, so the catch-up
-  /// reader must skip them instead of resurrecting them as spill
-  /// deliveries. Sheds are bursty, so the ranges stay few; entries below
-  /// Delivered are pruned as the reader passes them. Guarded by M.
-  std::vector<std::pair<uint64_t, uint64_t>> ShedGaps;
-  /// Segment telemetry deltas already forwarded (pump thread only).
-  uint64_t SegCreatedSeen = 0;
-  uint64_t SegReclaimedSeen = 0;
-};
-
-/// Streaming reader over a log file produced by FileLog/BufferedLog:
+/// Streaming reader over a log file produced by BufferedLog:
 /// decodes one record at a time out of a bounded read window, so multi-GB
 /// logs are processed in O(window) memory. loadLogFile and
 /// `vyrd-logdump --stats` are built on it; the window only grows when a
@@ -329,7 +60,7 @@ private:
 /// to: end-of-file is treated as "no more data *yet*" — next() returns
 /// false without latching EOF or flagging a record truncated at the
 /// write frontier as malformed, and a later call re-probes the file and
-/// the chain. FileLog/BufferedLog spill readers run in this mode.
+/// the chain. BufferedLog's spill reader runs in this mode.
 class LogFileReader {
 public:
   explicit LogFileReader(const std::string &Path);
@@ -379,7 +110,7 @@ private:
   uint64_t ChainIndex = 0;
 };
 
-/// Decodes all records of a log file previously produced by FileLog.
+/// Decodes all records of a log file previously produced by BufferedLog.
 /// \returns false if the file cannot be read or is malformed.
 bool loadLogFile(const std::string &Path, std::vector<Action> &Out);
 

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compact binary serialization for Action records, used by FileLog. Plays
+/// Compact binary serialization for Action records, used by the log file
+/// (BufferedLog's SegmentSink). Plays
 /// the role the .NET binary object serializer played in the original tool
 /// (Sec. 6.1): records are restored exactly as they were saved at runtime.
 ///
@@ -60,7 +61,7 @@ class ByteWriter;
 class ByteReader;
 
 /// Appends the file header (magic + current format version) to \p W.
-/// Log backends call this once, before the first record.
+/// The log's sink calls this once, before the first record.
 void writeLogHeader(ByteWriter &W);
 
 /// Appends a segment-file header (magic + LogSegmentVersion + varint

@@ -8,6 +8,7 @@
 
 #include "vyrd/Instrument.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
@@ -531,7 +532,10 @@ TelemetrySnapshot Telemetry::snapshot() const {
   }
   for (size_t G = 0; G < NumGauges; ++G) {
     S.Gauges[G] = GaugeNow[G].load(std::memory_order_relaxed);
-    S.GaugeHwms[G] = GaugeHwm[G].load(std::memory_order_relaxed);
+    // A writer stores the level before raising the watermark, so a
+    // snapshot taken between the two would see hwm < level.
+    S.GaugeHwms[G] = std::max(S.Gauges[G],
+                              GaugeHwm[G].load(std::memory_order_relaxed));
   }
   S.CheckerLag = checkerLag();
   S.Stalled = stalled();

@@ -318,7 +318,7 @@ public:
     /// long while the checker lag is non-zero. 0 disables the watchdog.
     /// Requires the sampler (stalls are detected at sample points).
     unsigned WatchdogQuietMs = 0;
-    /// Returns the newest producer ticket (e.g. Log::appendCount). Called
+    /// Returns the newest producer ticket (e.g. BufferedLog::appendCount). Called
     /// from the sampler thread and from checkerLag()/snapshot().
     std::function<uint64_t()> ProducerProbe;
     /// Invoked (from the sampler thread) once per detected stall episode.

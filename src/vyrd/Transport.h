@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The transport layer between the producer half of a verification
-/// pipeline (hooks -> log backend -> segment sink) and its checker half
+/// pipeline (hooks -> log -> segment sink) and its checker half
 /// (CheckerService): docs/SHIPPING.md. The segmented chain (LOGFORMAT v4)
 /// already makes every closed segment a self-contained unit — its own
 /// header and name table — and v5 sidecars let a checker pick a chain up
@@ -228,8 +228,8 @@ public:
   virtual bool shipClose(uint64_t FinalSeqExclusive, unsigned TimeoutMs) = 0;
 
   /// The checker-side watermark (exclusive): every record below it has
-  /// been fed remotely. Monotone; drives Log::reclaimCheckedPrefix on
-  /// the producer.
+  /// been fed remotely. Monotone; drives
+  /// BufferedLog::reclaimCheckedPrefix on the producer.
   virtual uint64_t ackedWatermark() const = 0;
 
   /// False once delivery failed past the retry budget.

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Since the producer/checker split the Verifier is a thin composition:
-// it owns the capture pipeline (log backend, telemetry, tracer, adaptive
+// it owns the capture pipeline (log, telemetry, tracer, adaptive
 // controller, monitor) and delegates all checking to a CheckerService
 // (CheckerService.cpp). The pump here either feeds the service directly
 // (the historical in-process pipeline, bit-for-bit) or ships closed
@@ -30,24 +30,14 @@ using namespace vyrd;
 //===----------------------------------------------------------------------===//
 
 std::string VerifierConfig::validate() const {
-  if (Backend == LogBackend::LB_File && LogFilePath.empty())
-    return "Backend = LB_File requires LogFilePath";
-  // LB_Auto is included: its resolution rule may route it to the
-  // buffered backend, and a zero shard capacity must not depend on which
-  // way the auto choice falls.
-  if ((Backend == LogBackend::LB_Buffered ||
-       Backend == LogBackend::LB_Auto) &&
-      ShardCapacity == 0)
-    return "ShardCapacity must be >= 1 (required by LB_Buffered, which "
-           "LB_Auto may resolve to)";
   if (Backpressure.Enabled) {
     if (Backpressure.MaxPendingRecords == 0)
       return "Backpressure.MaxPendingRecords must be >= 1 when "
              "backpressure is enabled (a zero bound admits nothing)";
     if (Backpressure.Policy == BackpressurePolicy::BP_SpillToDisk &&
-        (LogFilePath.empty() || Backend == LogBackend::LB_Memory))
+        LogFilePath.empty())
       return "Backpressure.Policy = BP_SpillToDisk requires a file-backed "
-             "log (set LogFilePath and a non-memory backend)";
+             "log (set LogFilePath)";
     if (!Online && Backpressure.Policy == BackpressurePolicy::BP_Block)
       return "Backpressure.Policy = BP_Block requires Online = true "
              "(offline runs have no concurrent reader to make room; a "
@@ -88,9 +78,9 @@ std::string VerifierConfig::validate() const {
       return "Snapshots requires Backpressure.SegmentBytes > 0 (snapshot "
              "sidecars ride the segment chain; an unsegmented log has no "
              "cut points)";
-    if (LogFilePath.empty() || Backend == LogBackend::LB_Memory)
-      return "Snapshots requires a file-backed log (set LogFilePath and a "
-             "non-memory backend; sidecars live next to the segments)";
+    if (LogFilePath.empty())
+      return "Snapshots requires a file-backed log (set LogFilePath; "
+             "sidecars live next to the segments)";
   }
   if (CheckerThreads == 0)
     return "CheckerThreads must be >= 1";
@@ -125,10 +115,9 @@ std::string VerifierConfig::validate() const {
     if (!Online)
       return "Shipping requires Online = true (the ship pump is the "
              "consumption thread; an offline run has nothing to stream)";
-    if (LogFilePath.empty() || Backend == LogBackend::LB_Memory)
-      return "Shipping requires a file-backed log (set LogFilePath and a "
-             "non-memory backend; closed segment files are the shipping "
-             "unit)";
+    if (LogFilePath.empty())
+      return "Shipping requires a file-backed log (set LogFilePath; closed "
+             "segment files are the shipping unit)";
     if (!Backpressure.SegmentBytes)
       return "Shipping requires Backpressure.SegmentBytes > 0 (closed "
              "segments are the shipping unit; an unsegmented log never "
@@ -418,34 +407,18 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     std::fprintf(stderr, "vyrd: invalid VerifierConfig: %s\n", Err.c_str());
     std::abort();
   }
-  LogBackend B = Config.Backend;
-  if (B == LogBackend::LB_Auto)
-    B = Config.LogFilePath.empty() ? LogBackend::LB_Memory
-                                   : LogBackend::LB_File;
-  switch (B) {
-  case LogBackend::LB_Auto: // resolved above
-  case LogBackend::LB_Memory:
-    TheLog = std::make_unique<MemoryLog>(Config.Backpressure);
-    break;
-  case LogBackend::LB_File: {
-    bool Valid = false;
-    auto FL = std::make_unique<FileLog>(Config.LogFilePath, Valid,
-                                        Config.Backpressure);
-    assert(Valid && "cannot open log file");
-    (void)Valid;
-    TheLog = std::move(FL);
-    break;
-  }
-  case LogBackend::LB_Buffered: {
+  {
     BufferedLog::Options BO;
-    BO.ShardCapacity = Config.ShardCapacity;
     BO.FilePath = Config.LogFilePath;
     BO.Backpressure = Config.Backpressure;
-    auto BL = std::make_unique<BufferedLog>(std::move(BO));
-    assert(BL->valid() && "cannot open log file");
-    TheLog = std::move(BL);
-    break;
+    TheLog = std::make_unique<BufferedLog>(std::move(BO));
   }
+  if (!TheLog->valid()) {
+    // The durable log is the evidence snapshots, shipping and offline
+    // re-checks rely on; running without it would lose them silently.
+    std::fprintf(stderr, "vyrd: cannot open log file %s\n",
+                 Config.LogFilePath.c_str());
+    std::abort();
   }
   if (Config.Telemetry.Enabled) {
     Telemetry::Options TO;
@@ -460,11 +433,11 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
   if (!Config.Telemetry.TraceFilePath.empty())
     Tracer = std::make_unique<TraceRecorder>();
   if (Config.Adaptive.Enabled) {
-    // The spill rung needs somewhere to spill: a file-backed backend
-    // (both keep the delivery-frontier bookkeeping on from record 0 once
-    // the dynamic-policy cell is installed, so a mid-run escalation into
+    // The spill rung needs somewhere to spill: a log file (the log keeps
+    // the delivery-frontier bookkeeping on from record 0 once the
+    // dynamic-policy cell is installed, so a mid-run escalation into
     // spill starts from a correct frontier).
-    bool CanSpill = B != LogBackend::LB_Memory && !Config.LogFilePath.empty();
+    bool CanSpill = !Config.LogFilePath.empty();
     Ctl = std::make_unique<AdaptiveController>(
         Config.Adaptive, Config.Backpressure.Policy, CanSpill);
     Ctl->setTelemetry(Telem.get());
@@ -573,9 +546,10 @@ void Verifier::pump() {
         SegmentCut Cut = Cuts.front();
         Cuts.erase(Cuts.begin());
         if (Cut.FirstSeq < RoutedUpto) {
-          // Late cut: the buffered backend's flusher rotates
-          // asynchronously, so the reader can consume past a cut before
-          // the pump learns of it. Nothing to align on — skip.
+          // Late cut: the pump already routed past it, so there is
+          // nothing to align on — skip. (The flusher records a cut
+          // before publishing the cut's first record, so this is a
+          // guard, not a path clean runs take.)
           if (Telem)
             Telem->count(Counter::C_SnapshotSkips);
           continue;

@@ -16,7 +16,7 @@
 /// objects proceed in parallel.
 ///
 /// Since the producer/checker split the Verifier is a thin composition of
-/// two halves: the capture pipeline (hooks -> log backend -> segment sink)
+/// two halves: the capture pipeline (hooks -> log -> segment sink)
 /// it owns directly, and a CheckerService holding the per-object checking
 /// pipelines. In the default, in-process wiring the pump thread feeds the
 /// service straight from the log — bit-identical to the historical
@@ -40,7 +40,6 @@
 #include "vyrd/Checker.h"
 #include "vyrd/CheckerService.h"
 #include "vyrd/Instrument.h"
-#include "vyrd/Log.h"
 #include "vyrd/Monitor.h"
 #include "vyrd/Replayer.h"
 #include "vyrd/Spec.h"
@@ -54,25 +53,17 @@
 
 namespace vyrd {
 
-/// Which Log implementation a Verifier constructs. See
-/// docs/ARCHITECTURE.md ("Choosing a log backend") for the trade-offs.
+/// Retained only so existing callers keep compiling: every Verifier runs
+/// on the one execution log (BufferedLog), so the value selects nothing.
 enum class LogBackend : uint8_t {
-  /// FileLog when LogFilePath is set, MemoryLog otherwise (the historical
-  /// default).
   LB_Auto,
-  /// Mutex-guarded in-memory queue.
-  LB_Memory,
-  /// Durable binary file + in-memory tail; requires LogFilePath.
-  LB_File,
-  /// Sharded per-thread rings merged by a flusher thread (BufferedLog);
-  /// also writes LogFilePath when set.
   LB_Buffered,
 };
 
 /// Observability options for a Verifier (docs/OBSERVABILITY.md).
 struct TelemetryOptions {
   /// Master switch: construct a Telemetry hub and thread it through the
-  /// pipeline (hooks, log backend, checker feed, view comparison); the
+  /// pipeline (hooks, log, checker feed, view comparison); the
   /// final snapshot lands in VerifierReport::Telemetry.
   bool Enabled = false;
   /// Period of the checker-lag sampler thread; 0 = no sampler.
@@ -96,18 +87,18 @@ struct VerifierConfig {
   /// Run the checkers concurrently with the program. When false, records
   /// are buffered and checked when finish() is called.
   bool Online = true;
-  /// Log file path, used by the LB_Auto/LB_File/LB_Buffered backends.
+  /// When non-empty, the log is also written to this file (segmented
+  /// with Backpressure.SegmentBytes > 0); required by spill, snapshots
+  /// and shipping. A path that cannot be opened aborts construction.
   std::string LogFilePath;
-  /// Log implementation to construct.
+  /// Ignored (see LogBackend); kept so existing callers keep compiling.
   LogBackend Backend = LogBackend::LB_Auto;
-  /// Shard capacity for LB_Buffered (records per producer thread).
-  size_t ShardCapacity = 1024;
   /// Bound + admission policy for every queue between the hooks and the
-  /// checkers: the log backend's pending queue/tail and the checker
-  /// pool's per-object batch queues (see Backpressure.h for the
-  /// policies). Disabled by default — the historical unbounded pipeline.
-  /// SegmentBytes > 0 additionally rotates file-backed logs into a
-  /// segment chain that is trimmed as checkers advance.
+  /// checkers: the log's reader queue and the checker pool's per-object
+  /// batch queues (see Backpressure.h for the policies). Disabled by
+  /// default — the historical unbounded pipeline. SegmentBytes > 0
+  /// additionally rotates the log file into a segment chain that is
+  /// trimmed as checkers advance.
   BackpressureConfig Backpressure;
   /// Self-tuning pipeline (docs/ARCHITECTURE.md, "Self-tuning pipeline"):
   /// when Adaptive.Enabled, an AIMD controller on the pump thread drives
@@ -127,9 +118,8 @@ struct VerifierConfig {
   /// from the oldest live segment instead of record 0. Requires a
   /// file-backed log with Backpressure.SegmentBytes > 0. Snapshots are
   /// best-effort: a cut is skipped (counted in C_SnapshotSkips) when a
-  /// checker is dirty, its spec/replayer does not support serialization,
-  /// or — with the buffered backend's asynchronous flusher — the cut is
-  /// reported after the pump already fed records past it.
+  /// checker is dirty or its spec/replayer does not support
+  /// serialization.
   bool Snapshots = false;
   /// Size of the checker pool. 1 (the default) feeds every object's
   /// checker inline on the consumption thread — exactly the historical
@@ -171,8 +161,8 @@ struct VerifierConfig {
   /// and shedding with VK_Degraded accounting (SD_Shed).
   ShipperOptions Shipping;
 
-  /// Checks the configuration for nonsensical combinations (LB_File
-  /// without a path, a zero-sized or offline multi-threaded checker pool,
+  /// Checks the configuration for nonsensical combinations (spill without
+  /// a log file, a zero-sized or offline multi-threaded checker pool,
   /// watchdog without telemetry, ...). Returns the empty string when the
   /// configuration is usable, otherwise a one-line description of the
   /// first problem. The Verifier constructor calls this and refuses
@@ -206,8 +196,7 @@ struct VerifierReport {
   std::vector<ObjectReport> Objects;
   uint64_t LogRecords = 0;
   uint64_t LogBytes = 0;
-  /// Admission accounting of the bounded pipeline (log backend + checker
-  /// pool), all zero when backpressure never engaged. Exact counts,
+  /// Admission accounting of the bounded pipeline (log + checker pool), all zero when backpressure never engaged. Exact counts,
   /// independent of telemetry.
   BackpressureStats Backpressure;
   /// Degradation notes (e.g. the VK_Degraded shed summary when BP_Shed
@@ -328,7 +317,7 @@ public:
   /// remote checker (the violations are found over there).
   bool violationSeen() const { return Svc->violationSeen(); }
 
-  Log &log() { return *TheLog; }
+  BufferedLog &log() { return *TheLog; }
 
   /// The pipeline's telemetry hub, or null when telemetry is disabled.
   /// Live metrics (checkerLag(), objectBacklog(), stalled(), snapshot())
@@ -357,11 +346,11 @@ private:
   bool degradeShipping(VerifierReport &R, uint64_t FinalSeqExclusive);
 
   VerifierConfig Config;
-  /// Declared before TheLog: the log backends hold raw pointers to the
+  /// Declared before TheLog: the log holds raw pointers to the
   /// controller's policy/batch-target cells, so the controller must
-  /// outlive them (members are destroyed in reverse declaration order).
+  /// outlive it (members are destroyed in reverse declaration order).
   std::unique_ptr<AdaptiveController> Ctl;
-  std::unique_ptr<Log> TheLog;
+  std::unique_ptr<BufferedLog> TheLog;
   /// Declared after TheLog: the sampler (which probes the log's append
   /// count) is joined before the log is destroyed.
   std::unique_ptr<Telemetry> Telem;

@@ -461,12 +461,12 @@ TEST(AdaptiveVerifierTest, AdaptationOffIsBehaviorallyUnchanged) {
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptiveStressTest, BlockedProducersNeverDuplicateSpillReadRecords) {
-  // Regression: with a block-base dynamic ladder the file log is
-  // spill-capable, so the reader fills tail gaps from disk. A producer
+  // Regression: with a block-base dynamic ladder the file-backed log is
+  // spill-capable, so the reader fills queue gaps from disk. A flusher
   // blocked on space has already written its record to the sink; a fast
-  // reader can drain the tail, spill-read that record from disk, and
-  // advance the delivery frontier past it — all before the producer
-  // wakes and pushes the record into the tail. Popping that stale tail
+  // reader can drain the queue, spill-read that record from disk, and
+  // advance the delivery frontier past it — all before the flusher
+  // wakes and pushes the record into the queue. Popping that stale tail
   // entry used to rewind the frontier, delivering the next record
   // twice (duplicate commits, bracket-state violations). The frontier
   // is monotone now; this drives the exact overlap with two blocked
@@ -477,15 +477,16 @@ TEST(AdaptiveStressTest, BlockedProducersNeverDuplicateSpillReadRecords) {
       std::to_string(::getpid()) + ".bin";
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backend = LogBackend::LB_File;
   C.LogFilePath = Path;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 128;
   C.Adaptive.Enabled = true;
   C.Adaptive.EscalatePolicy = true;
-  // Lag is capped at the bound under block, so the ladder never moves:
+  // Lag is capped under block: at the bound plus what the log holds in
+  // flight (its reorder window and one 1024-record shard ring per
+  // producer). With the watermark above that cap the ladder never moves:
   // every record must be checked, none shed or left to spill.
-  C.Adaptive.EscalateLagHi = 4096;
+  C.Adaptive.EscalateLagHi = 1 << 16;
   Verifier V(std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/0),
              nullptr, std::move(C));
   V.start();
@@ -518,7 +519,7 @@ TEST(AdaptiveStressTest, BlockedProducersNeverDuplicateSpillReadRecords) {
 }
 
 TEST(AdaptiveStressTest, FourProducersWithAdaptationAndEscalation) {
-  // Four producer threads through the buffered backend's shard rings, a
+  // Four producer threads through the log's shard rings, a
   // throttled checker, adaptation and escalation armed: the policy cell
   // is written by the pump and read by the flusher's admission, the
   // batch cell by the pump and the flusher's emit quantum. One Set(7)
@@ -527,8 +528,6 @@ TEST(AdaptiveStressTest, FourProducersWithAdaptationAndEscalation) {
   ThrottledRegisterSpec Script;
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backend = LogBackend::LB_Buffered;
-  C.ShardCapacity = 256;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 512;
   C.Adaptive.Enabled = true;

@@ -17,7 +17,7 @@
 
 #include "TestUtil.h"
 #include "vyrd/Checker.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 
 #include <gtest/gtest.h>
 
@@ -103,26 +103,27 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   CC.Mode = CheckMode::CM_IORefinement;
   RefinementChecker C(S, nullptr, CC);
 
-  MemoryLog Log;
+  BufferedLog Log;
+  LogWriter &W = Log.writer();
   std::vector<Action> Batch;
+  uint64_t Fed = 0;
 
-  // Drain helper mirroring the verifier pump: batch out of the log and
-  // feed in order, reusing the same batch vector throughout.
+  // Drain helper mirroring the verifier pump: batch out of the log until
+  // everything appended so far is fed, in order, reusing the same batch
+  // vector throughout.
   auto Pump = [&] {
-    bool End = false;
-    Batch.clear();
-    Action A;
-    while (Log.tryNext(A, End))
-      Batch.push_back(std::move(A));
-    for (Action &B : Batch)
-      C.feed(B);
+    while (Fed < Log.appendCount() && Log.nextBatch(Batch, 256)) {
+      for (Action &B : Batch)
+        C.feed(B);
+      Fed += Batch.size();
+    }
   };
 
-  // Warm-up: grows the log's deque blocks, the batch vector, the
+  // Warm-up: grows the log's queue chunks, the batch vector, the
   // checker's event queue, exec pool and memo table to steady state.
   constexpr int WarmupEpochs = 200;
   for (int E = 0; E < WarmupEpochs; ++E) {
-    appendEpoch(Log, S, E % 7);
+    appendEpoch(W, S, E % 7);
     if (E % 4 == 0)
       Pump();
   }
@@ -134,7 +135,7 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   GAllocCount.store(0);
   GCountAllocs.store(true);
   for (int E = 0; E < MeasuredEpochs; ++E) {
-    Records += appendEpoch(Log, S, E % 7);
+    Records += appendEpoch(W, S, E % 7);
     if (E % 4 == 0)
       Pump();
   }

@@ -286,7 +286,7 @@ template <typename StoreT> void drive(StoreT &S, uint64_t Seed, int Ops) {
   }
 }
 
-std::vector<Action> drain(MemoryLog &L) {
+std::vector<Action> drain(BufferedLog &L) {
   L.close();
   std::vector<Action> Out;
   Action A;
@@ -328,14 +328,14 @@ void expectSameStream(const std::vector<Action> &Hand,
 }
 
 std::vector<Action> runHand(uint64_t Seed, int Ops, LogLevel Level) {
-  MemoryLog L;
+  BufferedLog L;
   HandSlotStore S(Hooks(&L, Level));
   drive(S, Seed, Ops);
   return drain(L);
 }
 
 std::vector<Action> runAuto(uint64_t Seed, int Ops, LogLevel Level) {
-  MemoryLog L;
+  BufferedLog L;
   AutoSlotStore S(Hooks(&L, Level));
   drive(S, Seed, Ops);
   return drain(L);
@@ -358,7 +358,7 @@ TEST(AutoVsHandTest, FuzzedIOLevelStreamsMatch) {
 TEST(AutoVsHandTest, AutoStreamPassesTheChecker) {
   // The auto-emitted log is not just identical to the hand one — the
   // KeyValueReplayer consumes its kv records directly.
-  MemoryLog L;
+  BufferedLog L;
   {
     AutoSlotStore S(Hooks(&L, LogLevel::LL_View));
     S.kvSet(1, 10);
@@ -382,7 +382,7 @@ TEST(AutoVsHandTest, AutoStreamPassesTheChecker) {
 //===----------------------------------------------------------------------===//
 
 TEST(AutoSemanticsTest, ObserverEmitsNoCommitAndNoBracket) {
-  MemoryLog L;
+  BufferedLog L;
   AutoSlotStore S(Hooks(&L, LogLevel::LL_View));
   S.get(0);
   std::vector<Action> Log = drain(L);
@@ -393,7 +393,7 @@ TEST(AutoSemanticsTest, ObserverEmitsNoCommitAndNoBracket) {
 }
 
 TEST(AutoSemanticsTest, AutoCommitLandsAfterBracketBeforeReturn) {
-  MemoryLog L;
+  BufferedLog L;
   AutoSlotStore S(Hooks(&L, LogLevel::LL_View));
   S.bump(3);
   std::vector<Action> Log = drain(L);
@@ -411,7 +411,7 @@ TEST(AutoSemanticsTest, AutoCommitLandsAfterBracketBeforeReturn) {
 TEST(AutoSemanticsTest, SilentLockOutsideDispatchFrame) {
   // A shim lock taken with no dispatch frame open (constructors, direct
   // raw() access) must not emit brackets.
-  MemoryLog L;
+  BufferedLog L;
   AutoSlotStore S(Hooks(&L, LogLevel::LL_View));
   S.context(); // facade is live; now lock outside any invoke<>
   {
@@ -436,7 +436,6 @@ TEST(AutoSemanticsTest, DisabledHooksRunUninstrumented) {
 TEST(AutoStressTest, FourProducersFourCheckersClean) {
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
     VerifierConfig VC;
-    VC.Backend = LogBackend::LB_Buffered;
     VC.CheckerThreads = 4;
     Verifier V(VC);
     Hooks HM = V.registerObject(

@@ -7,7 +7,7 @@
 /// \file
 /// Exercises the bounded pipeline end to end: config validation, the
 /// three admission policies (BP_Block / BP_SpillToDisk / BP_Shed) at the
-/// log backends and through a full Verifier with a throttled checker,
+/// log and through a full Verifier with a throttled checker,
 /// and the memory bound itself via a global operator-new hook — the peak
 /// live heap of a bounded run must stay orders of magnitude under what
 /// the unbounded queue would pin.
@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 #include "vyrd/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -78,6 +78,15 @@ namespace {
 std::string tempPath(const char *Tag) {
   return std::string(::testing::TempDir()) + "vyrd-bptest-" + Tag + "-" +
          std::to_string(::getpid()) + ".bin";
+}
+
+/// A log bounded by \p BP, writing \p Path when non-empty.
+BufferedLog::Options bounded(const BackpressureConfig &BP,
+                             const std::string &Path = "") {
+  BufferedLog::Options O;
+  O.FilePath = Path;
+  O.Backpressure = BP;
+  return O;
 }
 
 void removeChain(const std::string &Base) {
@@ -160,18 +169,6 @@ TEST(BackpressureConfigTest, ValidateAcceptsDefaults) {
   EXPECT_EQ(C.validate(), "") << "BP_Block online is the safe default";
 }
 
-TEST(BackpressureConfigTest, ValidateRejectsZeroShardCapacityForAuto) {
-  // LB_Auto may resolve to the buffered backend; a zero capacity must be
-  // rejected regardless of which way it falls.
-  VerifierConfig C;
-  C.ShardCapacity = 0;
-  EXPECT_NE(C.validate(), "");
-  C.Backend = LogBackend::LB_Buffered;
-  EXPECT_NE(C.validate(), "");
-  C.Backend = LogBackend::LB_Memory;
-  EXPECT_EQ(C.validate(), "") << "LB_Memory never consults ShardCapacity";
-}
-
 TEST(BackpressureConfigTest, ValidateRejectsZeroPendingBound) {
   VerifierConfig C;
   C.Backpressure.Enabled = true;
@@ -188,11 +185,6 @@ TEST(BackpressureConfigTest, ValidateRejectsSpillWithoutFileBackedLog) {
   EXPECT_NE(C.validate(), "") << "no LogFilePath: nowhere to spill";
   C.LogFilePath = "/tmp/x.bin";
   EXPECT_EQ(C.validate(), "");
-  C.Backend = LogBackend::LB_Memory;
-  EXPECT_NE(C.validate(), "")
-      << "LB_Memory ignores LogFilePath, so spill has no disk";
-  C.Backend = LogBackend::LB_File;
-  EXPECT_EQ(C.validate(), "");
 }
 
 TEST(BackpressureConfigTest, ValidateRejectsOfflineBlockAndShed) {
@@ -206,20 +198,24 @@ TEST(BackpressureConfigTest, ValidateRejectsOfflineBlockAndShed) {
   EXPECT_NE(C.validate(), "");
   C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   C.LogFilePath = "/tmp/x.bin";
-  C.Backend = LogBackend::LB_File;
   EXPECT_EQ(C.validate(), "")
       << "offline spill is fine: producers never block on it";
 }
 
 //===----------------------------------------------------------------------===//
-// Backend-level policy behavior
+// Log-level policy behavior
+//
+// The MemoryLog*/FileLog* suite names are the historical names of the
+// log's two sink configurations: records kept in memory only, and a log
+// file as well. Both run on BufferedLog, whose BP_Block parks the flusher
+// (so BlockedAppends counts flusher admissions that waited).
 //===----------------------------------------------------------------------===//
 
 TEST(MemoryLogBackpressureTest, BlockBoundsTheQueue) {
   BackpressureConfig BP;
   BP.Enabled = true;
   BP.MaxPendingRecords = 4;
-  MemoryLog L(BP);
+  BufferedLog L(bounded(BP));
   constexpr int N = 300;
   std::thread Producer([&] {
     for (int I = 0; I < N; ++I)
@@ -247,7 +243,7 @@ TEST(MemoryLogBackpressureTest, ByteCeilingAloneTriggersThePolicy) {
   BP.Enabled = true;
   BP.MaxPendingRecords = 1 << 20; // effectively unbounded record count
   BP.MaxTailBytes = 4096;
-  MemoryLog L(BP);
+  BufferedLog L(bounded(BP));
   Name M = internName("bp.bytes");
   std::string Fat(256, 'x'); // heap payload per record
   constexpr int N = 400;
@@ -277,7 +273,7 @@ TEST(MemoryLogBackpressureTest, ShedDropsWholeObserverExecutions) {
   BP.Enabled = true;
   BP.MaxPendingRecords = 2;
   BP.Policy = BackpressurePolicy::BP_Shed;
-  MemoryLog L(BP);
+  BufferedLog L(bounded(BP));
   Name Obs = internName("bp.obs");
   Name Mut = internName("bp.mut");
   L.setShedClassifier(
@@ -309,9 +305,8 @@ TEST(FileLogBackpressureTest, SpillDeliversEverythingInOrder) {
   BP.Enabled = true;
   BP.MaxPendingRecords = 8;
   BP.Policy = BackpressurePolicy::BP_SpillToDisk;
-  bool Valid = false;
-  FileLog L(Path, Valid, BP);
-  ASSERT_TRUE(Valid);
+  BufferedLog L(bounded(BP, Path));
+  ASSERT_TRUE(L.valid());
   Name M = internName("bp.fspill");
   constexpr int N = 500;
   // No reader while appending: everything past the bound is disk-only.
@@ -341,9 +336,8 @@ TEST(FileLogBackpressureTest, SpillWorksWithConcurrentReaderAndSegments) {
   BP.MaxPendingRecords = 16;
   BP.Policy = BackpressurePolicy::BP_SpillToDisk;
   BP.SegmentBytes = 2048;
-  bool Valid = false;
-  FileLog L(Path, Valid, BP);
-  ASSERT_TRUE(Valid);
+  BufferedLog L(bounded(BP, Path));
+  ASSERT_TRUE(L.valid());
   Name M = internName("bp.cspill");
   constexpr int N = 2000;
   std::thread Producer([&] {
@@ -498,7 +492,6 @@ TEST(VerifierBackpressureTest, SpillWithSegmentsReclaimsCheckedPrefix) {
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
   C.LogFilePath = Path;
-  C.Backend = LogBackend::LB_File;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 32;
   C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
@@ -551,11 +544,11 @@ int64_t peakHeapDelta(const std::function<void()> &Body) {
   return GPeakBytes.load(std::memory_order_relaxed) - Before;
 }
 
-/// A producer/slow-reader round through one MemoryLog: N records with a
-/// heap payload each. Under a 256-record bound the queue pins ~tens of
-/// KB; unbounded it would pin N * ~200 bytes (tens of MB).
+/// A producer/slow-reader round through one in-memory log: N records
+/// with a heap payload each. Under a 256-record bound the queue pins
+/// ~tens of KB; unbounded it would pin N * ~200 bytes (tens of MB).
 void pumpRecords(const BackpressureConfig &BP, int N) {
-  MemoryLog L(BP);
+  BufferedLog L(bounded(BP));
   Name Obs = internName("bp.rss.obs");
   if (BP.Policy == BackpressurePolicy::BP_Shed)
     L.setShedClassifier(
@@ -603,9 +596,8 @@ TEST(BackpressureHeapTest, PeakHeapStaysBoundedUnderEveryPolicy) {
     BP.Enabled = true;
     BP.MaxPendingRecords = 256;
     BP.Policy = BackpressurePolicy::BP_SpillToDisk;
-    bool Valid = false;
-    FileLog L(Path, Valid, BP);
-    ASSERT_TRUE(Valid);
+    BufferedLog L(bounded(BP, Path));
+    ASSERT_TRUE(L.valid());
     Name M = internName("bp.rss.spill");
     std::string Payload(48, 'p');
     std::thread Producer([&] {

@@ -188,11 +188,10 @@ TEST(ScenarioTest, AllProgramsBuildInAllModes) {
 }
 
 TEST(ScenarioTest, BufferedBackendLogsAndChecks) {
-  // Log-only: the buffered backend records without a consumer.
+  // Log-only: the log records without a consumer.
   {
     ScenarioOptions SO;
     SO.Mode = RunMode::RM_LogOnlyView;
-    SO.Buffered = true;
     Scenario S = makeScenario(SO);
     ASSERT_NE(S.L, nullptr);
     Rng R(1);
@@ -202,11 +201,10 @@ TEST(ScenarioTest, BufferedBackendLogsAndChecks) {
     EXPECT_GT(Rep.LogRecords, 0u);
     EXPECT_EQ(Rep.Stats.MethodsChecked, 0u);
   }
-  // Online checking over the buffered backend, multi-threaded.
+  // Online checking over the sharded log, multi-threaded.
   {
     ScenarioOptions SO;
     SO.Mode = RunMode::RM_OnlineView;
-    SO.Buffered = true;
     Scenario S = makeScenario(SO);
     WorkloadOptions WO;
     WO.Threads = 4;
@@ -227,7 +225,6 @@ TEST(ScenarioTest, BufferedBackendStillCatchesTheInjectedBug) {
     ScenarioOptions SO;
     SO.Mode = RunMode::RM_OnlineView;
     SO.Buggy = true;
-    SO.Buffered = true;
     SO.StopAtFirstViolation = true;
     Scenario S = makeScenario(SO);
     Chaos::enable(4, Seed);

@@ -15,7 +15,6 @@
 
 #include "vyrd/Backpressure.h"
 #include "vyrd/BufferedLog.h"
-#include "vyrd/Log.h"
 
 #include <gtest/gtest.h>
 
@@ -46,7 +45,7 @@ void removeChain(const std::string &Base) {
 
 /// Appends \p N call/return pairs with a string payload (so segments
 /// fill quickly) through \p L. Sequence numbers come out 0..2N-1.
-void appendPairs(Log &L, size_t N) {
+void appendPairs(BufferedLog &L, size_t N) {
   Name M = internName("seg.op");
   for (size_t I = 0; I < N; ++I) {
     L.append(Action::call(1, M, {Value("payload-padding-string"),
@@ -55,11 +54,24 @@ void appendPairs(Log &L, size_t N) {
   }
 }
 
-BackpressureConfig segmented(uint64_t SegmentBytes, bool Reclaim = false) {
-  BackpressureConfig BP;
-  BP.SegmentBytes = SegmentBytes;
-  BP.ReclaimSegments = Reclaim;
-  return BP;
+/// A log writing \p Path, rotated into \p SegmentBytes segments when
+/// non-zero.
+BufferedLog::Options fileLog(const std::string &Path,
+                             uint64_t SegmentBytes = 0,
+                             bool Reclaim = false) {
+  BufferedLog::Options O;
+  O.FilePath = Path;
+  O.Backpressure.SegmentBytes = SegmentBytes;
+  O.Backpressure.ReclaimSegments = Reclaim;
+  return O;
+}
+
+/// Reads \p N records off \p L. The flusher writes each record to the
+/// file before it publishes it, so afterwards all \p N are on disk.
+void consume(BufferedLog &L, size_t N) {
+  Action A;
+  for (size_t I = 0; I < N; ++I)
+    ASSERT_TRUE(L.next(A));
 }
 
 } // namespace
@@ -68,9 +80,8 @@ TEST(SegmentLogTest, FileLogRotatesIntoNumberedSegments) {
   std::string Base = tempPath("rotate");
   removeChain(Base);
   {
-    bool Valid = false;
-    FileLog L(Base, Valid, segmented(512));
-    ASSERT_TRUE(Valid);
+    BufferedLog L(fileLog(Base, 512));
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 100);
     L.close();
   }
@@ -87,9 +98,8 @@ TEST(SegmentLogTest, LoadLogFileWalksTheChainFromTheBasePath) {
   std::string Base = tempPath("walk");
   removeChain(Base);
   {
-    bool Valid = false;
-    FileLog L(Base, Valid, segmented(512));
-    ASSERT_TRUE(Valid);
+    BufferedLog L(fileLog(Base, 512));
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 100);
     L.close();
   }
@@ -107,9 +117,8 @@ TEST(SegmentLogTest, SegmentsAreSelfContained) {
   std::string Base = tempPath("selfcontained");
   removeChain(Base);
   {
-    bool Valid = false;
-    FileLog L(Base, Valid, segmented(512));
-    ASSERT_TRUE(Valid);
+    BufferedLog L(fileLog(Base, 512));
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 100);
     L.close();
   }
@@ -139,10 +148,10 @@ TEST(SegmentLogTest, SegmentsAreSelfContained) {
 TEST(SegmentLogTest, ReclaimDeletesFullyCheckedSegmentsOnly) {
   std::string Base = tempPath("reclaim");
   removeChain(Base);
-  bool Valid = false;
-  FileLog L(Base, Valid, segmented(512, /*Reclaim=*/true));
-  ASSERT_TRUE(Valid);
+  BufferedLog L(fileLog(Base, 512, /*Reclaim=*/true));
+  ASSERT_TRUE(L.valid());
   appendPairs(L, 100);
+  consume(L, 200);
 
   // Nothing checked yet: nothing may disappear.
   L.reclaimCheckedPrefix(0);
@@ -163,10 +172,10 @@ TEST(SegmentLogTest, ReclaimDeletesFullyCheckedSegmentsOnly) {
 TEST(SegmentLogTest, ReclaimRespectsTheWatermark) {
   std::string Base = tempPath("watermark");
   removeChain(Base);
-  bool Valid = false;
-  FileLog L(Base, Valid, segmented(512, /*Reclaim=*/true));
-  ASSERT_TRUE(Valid);
+  BufferedLog L(fileLog(Base, 512, /*Reclaim=*/true));
+  ASSERT_TRUE(L.valid());
   appendPairs(L, 100);
+  consume(L, 200);
   // A watermark inside the log only releases segments entirely below it.
   L.reclaimCheckedPrefix(10);
   std::vector<Action> Got;
@@ -185,10 +194,7 @@ TEST(SegmentLogTest, BufferedLogRotatesAndReloads) {
   removeChain(Base);
   constexpr size_t PerThread = 200;
   {
-    BufferedLog::Options O;
-    O.FilePath = Base;
-    O.Backpressure = segmented(1024);
-    BufferedLog L(O);
+    BufferedLog L(fileLog(Base, 1024));
     ASSERT_TRUE(L.valid());
     std::vector<std::thread> Ts;
     for (int T = 0; T < 2; ++T)
@@ -216,9 +222,8 @@ TEST(SegmentLogTest, UnsegmentedOutputStaysPlainV3) {
   std::string Path = tempPath("plain");
   std::remove(Path.c_str());
   {
-    bool Valid = false;
-    FileLog L(Path, Valid); // no BackpressureConfig: the historical ctor
-    ASSERT_TRUE(Valid);
+    BufferedLog L(fileLog(Path)); // SegmentBytes 0: one plain file
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 5);
     L.close();
   }

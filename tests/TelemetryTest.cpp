@@ -336,7 +336,6 @@ TEST(TelemetryTest, PipelineCountersBalance) {
 TEST(TelemetryTest, BufferedBackendFeedsFlusherMetrics) {
   VerifierConfig VC;
   VC.Online = true;
-  VC.Backend = LogBackend::LB_Buffered;
   VC.Telemetry.Enabled = true;
   VerifierReport R = runInstrumentedMultiset(VC, 200);
   ASSERT_TRUE(R.ok()) << R.str();

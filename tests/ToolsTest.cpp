@@ -189,9 +189,11 @@ namespace {
 ///   t1: call Insert / write / commit / return
 ///   t2: call LookUp / return
 void writeGoldenLog(const std::string &Path) {
-  bool Valid = false;
-  FileLog L(Path, Valid);
-  ASSERT_TRUE(Valid);
+  BufferedLog::Options O;
+  O.FilePath = Path;
+  O.RetainRecords = false;
+  BufferedLog L(O);
+  ASSERT_TRUE(L.valid());
   Name Ins = internName("golden.Insert");
   Name Look = internName("golden.LookUp");
   Name Var = internName("golden.elt");

@@ -109,10 +109,20 @@ TEST(VerifierTest, FileLogPathProducesReloadableLog) {
   std::remove(Path.c_str());
 }
 
+TEST(VerifierDeathTest, UnopenableLogFileAborts) {
+  // The durable log is what snapshots, shipping and offline re-checks
+  // read; a Verifier must refuse to run without it rather than report a
+  // clean verdict with no evidence behind it (asserts are compiled out
+  // in release builds, so this must not rely on them).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  VerifierConfig VC;
+  VC.LogFilePath = "/nonexistent-dir-xyz/run.bin";
+  EXPECT_DEATH(makeVerifier(VC), "cannot open log file "
+                                 "/nonexistent-dir-xyz/run.bin");
+}
+
 TEST(VerifierTest, BufferedBackendOnlineCleanRun) {
   VerifierConfig VC;
-  VC.Backend = LogBackend::LB_Buffered;
-  VC.ShardCapacity = 64;
   auto V = makeVerifier(VC, /*Capacity=*/32);
   V->start();
   // Several producer threads, each through its own shard.
@@ -143,7 +153,6 @@ TEST(VerifierTest, BufferedBackendWithFileProducesReloadableLog) {
   uint64_t Records = 0;
   {
     VerifierConfig VC;
-    VC.Backend = LogBackend::LB_Buffered;
     VC.LogFilePath = Path;
     auto V = makeVerifier(VC);
     V->start();
@@ -164,7 +173,6 @@ TEST(VerifierTest, BufferedBackendWithFileProducesReloadableLog) {
 TEST(VerifierTest, BufferedBackendOfflineRun) {
   VerifierConfig VC;
   VC.Online = false;
-  VC.Backend = LogBackend::LB_Buffered;
   auto V = makeVerifier(VC);
   V->start();
   driveMultiset(*V, 16, 100);

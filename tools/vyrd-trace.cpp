@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Converts a binary log file produced by FileLog/BufferedLog into
+// Converts a binary log file produced by BufferedLog into
 // Chrome/Perfetto trace_event JSON (load it at https://ui.perfetto.dev or
 // chrome://tracing). Timestamps are virtual: one log record = 1 us; see
 // docs/OBSERVABILITY.md, "Trace mapping".
