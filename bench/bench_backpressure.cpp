@@ -370,82 +370,6 @@ int main(int Argc, char **Argv) {
   }
   hr();
 
-  // Self-tuning pipeline: the adaptive pump batch against the historical
-  // fixed 256-record batch, same bounded-block soak. The steady-state
-  // records/s is checker-paced, so the robust signal is the sync cost:
-  // the adaptive target grows past the bound and drains the whole queue
-  // per lock round trip, so the producer blocks and wakes a fraction as
-  // often. check_bench_baseline.py gates both rows.
-  std::printf("\nAdaptive batch sizing vs fixed-256 (%u execs, 1us/step "
-              "throttle, bound %llu)\n\n",
-              SoakExecs, static_cast<unsigned long long>(PendingBound));
-  std::printf("%-12s %12s %12s %12s %14s\n", "config", "append M/s",
-              "p99 ns", "pending HWM", "blocked appends");
-  hr();
-  RunResult Fixed, Adaptive;
-  {
-    VerifierConfig C = baseConfig();
-    C.Backpressure.Enabled = true;
-    C.Backpressure.MaxPendingRecords = PendingBound;
-    Fixed = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
-    requireSeededViolations(Fixed.Report, "fixed-256");
-    require(Fixed.Report.Backpressure.PendingRecordsHwm <= PendingBound,
-            "fixed-256: pending HWM exceeded MaxPendingRecords");
-  }
-  {
-    VerifierConfig C = baseConfig();
-    C.Backpressure.Enabled = true;
-    C.Backpressure.MaxPendingRecords = PendingBound;
-    C.Adaptive.Enabled = true;
-    // Grow as soon as the backlog covers half the bound; the default
-    // watermark (1024) would sit exactly on the bound and only
-    // trigger on the racy full-queue instants.
-    C.Adaptive.GrowLagRecords = PendingBound / 2;
-    Adaptive = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
-    requireSeededViolations(Adaptive.Report, "adaptive-on");
-    require(Adaptive.Report.Backpressure.PendingRecordsHwm <= PendingBound,
-            "adaptive-on: pending HWM exceeded MaxPendingRecords");
-    require(Adaptive.Report.Adaptive.BatchTargetHwm >
-                Adaptive.Report.Adaptive.BatchTargetFinal ||
-            Adaptive.Report.Adaptive.BatchTargetHwm > 256,
-            "adaptive-on: the batch target never grew under a "
-            "backlogged checker");
-    require(Adaptive.Report.Backpressure.BlockedAppends <
-                Fixed.Report.Backpressure.BlockedAppends,
-            "adaptive-on: larger drain batches must block the producer "
-            "less often than fixed-256");
-  }
-  for (const auto &P : {std::make_pair("fixed-256", &Fixed),
-                        std::make_pair("adaptive-on", &Adaptive)}) {
-    const RunResult &R = *P.second;
-    std::printf("%-12s %12.2f %12llu %12llu %14llu\n", P.first,
-                appendPerSec(R) / 1e6,
-                static_cast<unsigned long long>(R.P99AppendNs),
-                static_cast<unsigned long long>(
-                    R.Report.Backpressure.PendingRecordsHwm),
-                static_cast<unsigned long long>(
-                    R.Report.Backpressure.BlockedAppends));
-    char Buf[224];
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "{\"blocked_appends\":%llu,\"blocked_p99_ns\":%llu,"
-        "\"pending_hwm\":%llu,\"batch_target_hwm\":%llu}",
-        static_cast<unsigned long long>(
-            R.Report.Backpressure.BlockedAppends),
-        static_cast<unsigned long long>(R.P99AppendNs),
-        static_cast<unsigned long long>(
-            R.Report.Backpressure.PendingRecordsHwm),
-        static_cast<unsigned long long>(R.Report.Adaptive.BatchTargetHwm));
-    BJ.row(P.first, 1, nsPerAppend(R), appendPerSec(R), Buf);
-  }
-  std::printf("\n  adaptive/fixed records/s ratio: %.3f, blocked-append "
-              "reduction: %.1fx\n",
-              appendPerSec(Adaptive) / appendPerSec(Fixed),
-              double(Fixed.Report.Backpressure.BlockedAppends) /
-                  double(std::max<uint64_t>(
-                      Adaptive.Report.Backpressure.BlockedAppends, 1)));
-  hr();
-
   // Escalation soak: a file-backed run whose burst phase holds the lag
   // over the escalate watermark long enough to walk the whole ladder
   // (block -> spill -> shed), then a trickle phase lets the checker
@@ -465,7 +389,6 @@ int main(int Argc, char **Argv) {
     C.Backpressure.SegmentBytes = 1 << 20;
     C.Backpressure.ReclaimSegments = true;
     C.Adaptive.Enabled = true;
-    C.Adaptive.EscalatePolicy = true;
     C.Adaptive.EscalateLagHi = 400; // below the bound: block caps the lag
     C.Adaptive.DeescalateLagLo = 64;
     C.Adaptive.EscalateHoldUs = 300;

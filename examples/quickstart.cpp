@@ -18,11 +18,10 @@
 // the metric snapshot and the file can be fed to vyrd-trace / vyrd-check.
 // --segment-bytes N additionally rotates that log into numbered segment
 // files every N bytes (docs/LOGFORMAT.md); the tools walk the chain.
-// --adaptive turns on the self-tuning pipeline for the final run: the
-// pump's batch target follows the live checker lag and the admission
-// policy escalates under sustained backlog (the report then carries an
-// "adaptive:" section with the batch-target high-water mark and any
-// policy transitions).
+// --adaptive turns on the self-tuning pipeline for the final run: a
+// bounded queue whose admission policy escalates under sustained backlog
+// (the report then carries an "adaptive:" section with the final policy
+// and any policy transitions).
 // --monitor-socket PATH serves the live monitor endpoint during the
 // final run (attach with `vyrd-mon --socket PATH top`), holding it open
 // for --monitor-hold-ms before finishing. --forensics PREFIX makes the
@@ -93,7 +92,7 @@ struct RunExtras {
   std::string LogPath;
   uint64_t SegmentBytes = 0;
   bool Snapshots = false;
-  bool Adaptive = false; // self-tuning pump batches + policy escalation
+  bool Adaptive = false; // bounded queue + policy escalation
   std::string MonitorSocket; // live vyrd-mon endpoint (implies telemetry)
   uint64_t MonitorHoldMs = 0; // keep the monitor up this long pre-finish
   std::string ForensicPrefix; // flush *.forensic.json on violation
@@ -127,13 +126,11 @@ static VerifierReport runOnce(bool Buggy, uint64_t Seed,
   // restartable and epoch-checkable (docs/SNAPSHOTS.md).
   SO.Snapshots = X.Snapshots;
   // Self-tuning pipeline (docs/ARCHITECTURE.md, "The self-tuning
-  // pipeline"): the pump's batch target follows the live checker lag,
-  // and with a bounded queue the admission policy escalates
+  // pipeline"): with a bounded queue the admission policy escalates
   // block -> spill -> shed under sustained backlog and walks back down
   // once the checker catches up. Every transition lands in the report.
   if (X.Adaptive) {
     SO.Adaptive.Enabled = true;
-    SO.Adaptive.EscalatePolicy = true;
     SO.Backpressure.Enabled = true;
   }
   // Remote checking (docs/SHIPPING.md): closed segments stream to the

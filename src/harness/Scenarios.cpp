@@ -205,25 +205,19 @@ BufferedLog *wireLogOnly(Scenario &S, const ScenarioOptions &O) {
   return L.get();
 }
 
-/// Shared wiring: builds the log / verifier per run mode and fills
-/// Scenario::V, L, Finish. \returns the Hooks the data structure should
-/// use.
-Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
-                   std::unique_ptr<Spec> Spec,
-                   std::unique_ptr<Replayer> Replayer) {
-  bool ViewLevel = O.Mode == RunMode::RM_LogOnlyView ||
-                   O.Mode == RunMode::RM_OnlineView ||
-                   O.Mode == RunMode::RM_OfflineView;
+/// True for the modes that log (and check) at view level.
+bool viewLevel(RunMode M) {
+  return M == RunMode::RM_LogOnlyView || M == RunMode::RM_OnlineView ||
+         M == RunMode::RM_OfflineView;
+}
 
-  if (!modeLogs(O.Mode)) {
-    S.Finish = [] { return VerifierReport(); };
-    return Hooks();
-  }
-
-  if (!modeChecks(O.Mode))
-    return Hooks(wireLogOnly(S, O),
-                 ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO);
-
+/// The VerifierConfig of a checking mode: check level and checker knobs
+/// from \p O, the pipeline options passed through, and the online-only
+/// features mapped off for the offline modes. \p ShipProgram names the
+/// remote pipeline when O.Shipping.Program is empty.
+VerifierConfig checkedConfig(const ScenarioOptions &O,
+                             const char *ShipProgram) {
+  bool ViewLevel = viewLevel(O.Mode);
   VerifierConfig VC;
   VC.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
                               : CheckMode::CM_IORefinement;
@@ -256,10 +250,31 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
     // rebuilds the same pipeline at the same check level.
     VC.Shipping.ViewLevel = ViewLevel;
     if (VC.Shipping.Program.empty())
-      VC.Shipping.Program = programShipKey(O.Prog);
+      VC.Shipping.Program = ShipProgram;
   }
+  return VC;
+}
+
+/// Shared wiring: builds the log / verifier per run mode and fills
+/// Scenario::V, L, Finish. \returns the Hooks the data structure should
+/// use.
+Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
+                   std::unique_ptr<Spec> Spec,
+                   std::unique_ptr<Replayer> Replayer) {
+  bool ViewLevel = viewLevel(O.Mode);
+
+  if (!modeLogs(O.Mode)) {
+    S.Finish = [] { return VerifierReport(); };
+    return Hooks();
+  }
+
+  if (!modeChecks(O.Mode))
+    return Hooks(wireLogOnly(S, O),
+                 ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO);
+
   auto V = std::make_shared<Verifier>(
-      std::move(Spec), ViewLevel ? std::move(Replayer) : nullptr, VC);
+      std::move(Spec), ViewLevel ? std::move(Replayer) : nullptr,
+      checkedConfig(O, programShipKey(O.Prog)));
   V->start();
   S.V = V.get();
   S.L = &V->log();
@@ -541,9 +556,7 @@ Scenario makeScanFsScenario(const ScenarioOptions &O) {
 Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   Scenario S;
   S.Objects = {"multiset", "cache", "blinktree", "queue"};
-  bool ViewLevel = O.Mode == RunMode::RM_LogOnlyView ||
-                   O.Mode == RunMode::RM_OnlineView ||
-                   O.Mode == RunMode::RM_OfflineView;
+  bool ViewLevel = viewLevel(O.Mode);
   LogLevel Level = ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO;
 
   // Sub-structure configuration. Only the multiset carries the injected
@@ -587,36 +600,7 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
     HTree = Hooks(L, Level, nullptr, 2);
     HQueue = Hooks(L, Level, nullptr, 3);
   } else {
-    VerifierConfig VC;
-    VC.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
-                                : CheckMode::CM_IORefinement;
-    VC.Checker.StopAtFirstViolation = O.StopAtFirstViolation;
-    VC.Checker.FullViewRecompute = O.FullViewRecompute;
-    VC.Checker.QuiescentOnly = O.QuiescentOnly;
-    VC.Checker.AuditPeriod = O.AuditPeriod;
-    VC.Checker.ContextRecords = O.ContextRecords;
-    VC.Checker.CollectTimings = O.CollectTimings;
-    VC.Telemetry = O.Telemetry;
-    VC.Online = O.Mode == RunMode::RM_OnlineIO ||
-                O.Mode == RunMode::RM_OnlineView;
-    VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
-    VC.LogFilePath = O.LogPath;
-    VC.Backpressure = O.Backpressure;
-    VC.Adaptive = O.Adaptive;
-    // Like the pool, adaptation only exists online: there is no live
-    // lag to react to in a synchronous offline replay.
-    if (!VC.Online)
-      VC.Adaptive.Enabled = false;
-    VC.Snapshots = O.Snapshots;
-    VC.Monitor = O.Monitor;
-    VC.ForensicPrefix = O.ForensicPrefix;
-    VC.Shipping = O.Shipping;
-    if (VC.Shipping.enabled()) {
-      VC.Shipping.ViewLevel = ViewLevel;
-      if (VC.Shipping.Program.empty())
-        VC.Shipping.Program = "composite";
-    }
-    auto V = std::make_shared<Verifier>(VC);
+    auto V = std::make_shared<Verifier>(checkedConfig(O, "composite"));
     HMul = V->registerObject(
         "multiset", std::make_unique<multiset::MultisetSpec>(),
         ViewLevel ? KeyValueReplayer::guardedBag("A") : nullptr);

@@ -116,9 +116,8 @@ struct ScenarioOptions {
   /// rotation for file-backed logs (see Backpressure.h). Passed through
   /// to VerifierConfig::Backpressure in the checking modes.
   BackpressureConfig Backpressure;
-  /// Self-tuning pipeline (VerifierConfig::Adaptive): adaptive pump batch
-  /// sizing and, with EscalatePolicy, runtime escalation of the admission
-  /// policy (see Adaptive.h). Online checking modes only.
+  /// Self-tuning pipeline (VerifierConfig::Adaptive): runtime escalation
+  /// of the admission policy (see Adaptive.h). Online checking modes only.
   AdaptiveConfig Adaptive;
   /// Write snapshot sidecars at segment cuts (VerifierConfig::Snapshots;
   /// requires a file-backed log with Backpressure.SegmentBytes > 0). The

@@ -1,4 +1,4 @@
-//===- Adaptive.cpp - Self-tuning pipeline controller ----------------------===//
+//===- Adaptive.cpp - Admission-policy escalation ladder ------------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -8,7 +8,6 @@
 
 #include "vyrd/Telemetry.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace vyrd {
@@ -22,7 +21,7 @@ std::string AdaptiveController::Transition::str() const {
 
 AdaptiveController::AdaptiveController(const AdaptiveConfig &Cfg,
                                        BackpressurePolicy Base, bool CanSpill)
-    : C(Cfg), Escalate(Cfg.EscalatePolicy) {
+    : C(Cfg) {
   // The ladder starts at the configured policy and only ever escalates to
   // strictly more load-shedding rungs: Block defers producers, Spill
   // trades tail memory for re-read latency (needs a disk side), Shed
@@ -33,9 +32,6 @@ AdaptiveController::AdaptiveController(const AdaptiveConfig &Cfg,
   if (Base != BackpressurePolicy::BP_Shed)
     Ladder.push_back(BackpressurePolicy::BP_Shed);
 
-  size_t Init = std::clamp(C.InitialBatch, C.MinBatch, C.MaxBatch);
-  Target.store(Init, std::memory_order_relaxed);
-  TargetHwm.store(Init, std::memory_order_relaxed);
   Policy.store(static_cast<uint8_t>(Base), std::memory_order_relaxed);
 }
 
@@ -60,34 +56,11 @@ void AdaptiveController::publishPolicy(BackpressurePolicy P) {
 
 bool AdaptiveController::observe(uint64_t LagRecords, uint64_t Seq,
                                  uint64_t NowNanos) {
-  // --- batch target (AIMD, paced by DecisionIntervalUs) ---
-  uint64_t IntervalNs = C.DecisionIntervalUs * 1000;
-  if (LastDecisionNs == 0 || NowNanos - LastDecisionNs >= IntervalNs) {
-    LastDecisionNs = NowNanos ? NowNanos : 1;
-    size_t Cur = Target.load(std::memory_order_relaxed);
-    size_t Next = Cur;
-    if (LagRecords >= C.GrowLagRecords) {
-      Next = std::min(Cur + C.GrowStep, C.MaxBatch);
-    } else if (LagRecords <= C.ShrinkLagRecords) {
-      Next = std::max(static_cast<size_t>(
-                          static_cast<double>(Cur) * C.ShrinkFactor),
-                      C.MinBatch);
-    }
-    if (Next != Cur) {
-      Target.store(Next, std::memory_order_relaxed);
-      if (Next > TargetHwm.load(std::memory_order_relaxed))
-        TargetHwm.store(Next, std::memory_order_relaxed);
-      if (Telem)
-        Telem->gaugeSet(Gauge::G_PumpBatchTarget, Next);
-    }
-  }
-
   if (!dynamicPolicy())
     return false;
 
-  // --- policy escalation (watermarks + hold-time hysteresis) ---
-  // Lag between the watermarks resets both hold timers: the band is the
-  // hysteresis dead zone where the current policy holds.
+  // Watermarks + hold-time hysteresis. Lag between the watermarks resets
+  // both hold timers: the band is the dead zone where the policy holds.
   bool Changed = false;
   if (LagRecords >= C.EscalateLagHi) {
     BelowSinceNs = 0;

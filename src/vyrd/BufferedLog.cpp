@@ -52,11 +52,10 @@ struct BufferedLog::Impl {
   Options Opts;
   uint64_t InstanceId = 0;
 
-  /// The attached hub and the adaptive controller's cells (see the
+  /// The attached hub and the adaptive controller's policy cell (see the
   /// setters in BufferedLog.h); null when not installed.
   std::atomic<Telemetry *> Telem{nullptr};
   std::atomic<const std::atomic<uint8_t> *> DynPolicy{nullptr};
-  std::atomic<const std::atomic<size_t> *> BatchHint{nullptr};
 
   /// The attached hub, or null. Hot paths should read it once and cache
   /// the per-thread cell.
@@ -75,11 +74,6 @@ struct BufferedLog::Impl {
   /// mid-run; see BufferedLog::spillCapable()).
   bool hasDynamicPolicy() const {
     return DynPolicy.load(std::memory_order_acquire) != nullptr;
-  }
-  /// The adaptive drain quantum, or \p Default when none is installed.
-  size_t batchTargetHint(size_t Default) const {
-    const std::atomic<size_t> *C = BatchHint.load(std::memory_order_acquire);
-    return C ? C->load(std::memory_order_relaxed) : Default;
   }
 
   /// The global order: every append claims one ticket (see BufferedLog.h
@@ -428,12 +422,8 @@ void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
 size_t BufferedLog::emitReady() {
   const uint64_t First = I->SeqNext;
   uint64_t S = First;
-  // An adaptive controller caps the emit quantum through the batch-target
-  // hint (floor 1 so progress never stalls); without one the whole
-  // contiguous run goes out at once, as before.
-  uint64_t Limit = std::min<uint64_t>(
-      I->Reorder.size(),
-      std::max<size_t>(I->batchTargetHint(I->Reorder.size()), 1));
+  // The whole contiguous run goes out at once, up to one reorder window.
+  const uint64_t Limit = I->Reorder.size();
   while (S - First < Limit && I->Parked[S & I->ReorderMask])
     ++S;
   size_t K = static_cast<size_t>(S - First);
@@ -689,10 +679,6 @@ void BufferedLog::setTelemetry(Telemetry *T) {
 
 void BufferedLog::setDynamicPolicy(const std::atomic<uint8_t> *Cell) {
   I->DynPolicy.store(Cell, std::memory_order_release);
-}
-
-void BufferedLog::setBatchTargetHint(const std::atomic<size_t> *Cell) {
-  I->BatchHint.store(Cell, std::memory_order_release);
 }
 
 void BufferedLog::setShedClassifier(std::function<bool(const Action &)> Fn) {

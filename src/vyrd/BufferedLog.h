@@ -204,10 +204,6 @@ public:
   /// keeps the static policy.
   void setDynamicPolicy(const std::atomic<uint8_t> *Cell);
 
-  /// Subscribes the flusher's emit quantum to the adaptive batch target.
-  /// Same lifetime rules as setDynamicPolicy.
-  void setBatchTargetHint(const std::atomic<size_t> *Cell);
-
   /// Dynamic-policy nudge: called (from the pump thread) right after the
   /// installed policy cell changed, so a flusher parked on BP_Block's
   /// space wait re-evaluates under the new rung instead of waiting for

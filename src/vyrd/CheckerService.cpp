@@ -98,8 +98,7 @@ public:
   /// pressure propagates back into the log; BP_Shed drops observer
   /// executions from the batch while over the bound. Admission is sliced
   /// at the free room, so occupancy never exceeds the bound (the old
-  /// batch-granular path could overshoot by a whole pump batch — with
-  /// adaptive batch sizing, by up to MaxBatch records).
+  /// batch-granular path could overshoot by a whole pump batch).
   void dispatch(ObjectState &O, std::vector<Action> &Batch) {
     std::unique_lock Lock(M);
     const bool Dynamic = S.Ctl && S.Ctl->dynamicPolicy();

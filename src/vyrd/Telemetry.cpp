@@ -157,8 +157,6 @@ const char *vyrd::gaugeName(Gauge G) {
     return "epochs_in_flight";
   case Gauge::G_RestartLag:
     return "restart_lag";
-  case Gauge::G_PumpBatchTarget:
-    return "pump_batch_target";
   case Gauge::G_PolicyActive:
     return "policy_active";
   case Gauge::G_ShipAckedWatermark:

@@ -179,9 +179,6 @@ enum class Gauge : uint8_t {
   /// at restore time: how much re-checking a cold restart saved relative
   /// to a from-zero replay would be (appendCount - watermark).
   G_RestartLag,
-  /// The adaptive controller's current pump-batch target (records per
-  /// pump loop / flusher drain quantum). Static pipelines leave it 0.
-  G_PumpBatchTarget,
   /// The admission policy currently in force, as its BackpressurePolicy
   /// ordinal (0 = block, 1 = spill, 2 = shed). Written by the pump on
   /// escalation/de-escalation, read by the monitor sampler.

@@ -52,26 +52,12 @@ std::string VerifierConfig::validate() const {
       return "Adaptive.Enabled requires Online = true (the controller "
              "runs on the consumption thread; an offline pass has no "
              "live lag to react to)";
-    if (Adaptive.MinBatch == 0)
-      return "Adaptive.MinBatch must be >= 1";
-    if (Adaptive.MaxBatch < Adaptive.MinBatch)
-      return "Adaptive.MaxBatch must be >= Adaptive.MinBatch";
-    if (Adaptive.InitialBatch < Adaptive.MinBatch ||
-        Adaptive.InitialBatch > Adaptive.MaxBatch)
-      return "Adaptive.InitialBatch must lie in [MinBatch, MaxBatch]";
-    if (Adaptive.GrowStep == 0)
-      return "Adaptive.GrowStep must be >= 1 (a zero step never grows)";
-    if (!(Adaptive.ShrinkFactor > 0.0) || Adaptive.ShrinkFactor > 1.0)
-      return "Adaptive.ShrinkFactor must lie in (0, 1]";
-    if (Adaptive.EscalatePolicy) {
-      if (!Backpressure.Enabled)
-        return "Adaptive.EscalatePolicy requires Backpressure.Enabled "
-               "(there is no admission policy to escalate without a "
-               "bounded pipeline)";
-      if (Adaptive.DeescalateLagLo >= Adaptive.EscalateLagHi)
-        return "Adaptive.DeescalateLagLo must be < Adaptive.EscalateLagHi "
-               "(the watermarks need a dead band or the policy flaps)";
-    }
+    if (!Backpressure.Enabled)
+      return "Adaptive.Enabled requires Backpressure.Enabled (there is no "
+             "admission policy to escalate without a bounded pipeline)";
+    if (Adaptive.DeescalateLagLo >= Adaptive.EscalateLagHi)
+      return "Adaptive.DeescalateLagLo must be < Adaptive.EscalateLagHi "
+             "(the watermarks need a dead band or the policy flaps)";
   }
   if (Snapshots) {
     if (!Backpressure.SegmentBytes)
@@ -129,8 +115,9 @@ std::string VerifierConfig::validate() const {
       return "Shipping excludes Snapshots (no checkers run in this "
              "process, so there is no local state to serialize at cuts)";
     if (Adaptive.Enabled)
-      return "Shipping excludes Adaptive (the controller reacts to local "
-             "checker lag, which a shipped run does not have)";
+      return "Shipping excludes Adaptive (the ship pump drains the local "
+             "log at wire speed, so local lag never reflects the remote "
+             "checker; the unacked segment window bounds a shipped run)";
     if (Shipping.MaxRetries == 0)
       return "Shipping.MaxRetries must be >= 1";
   }
@@ -180,11 +167,7 @@ std::string VerifierReport::str() const {
     Out += "\n";
   }
   if (Adaptive.Enabled) {
-    Out += "adaptive: batch_target=" +
-           std::to_string(Adaptive.BatchTargetFinal) +
-           " batch_target_hwm=" + std::to_string(Adaptive.BatchTargetHwm);
-    if (!Adaptive.FinalPolicy.empty())
-      Out += " policy=" + Adaptive.FinalPolicy;
+    Out += "adaptive: policy=" + Adaptive.FinalPolicy;
     if (Adaptive.Escalations || Adaptive.Deescalations)
       Out += " escalations=" + std::to_string(Adaptive.Escalations) +
              " deescalations=" + std::to_string(Adaptive.Deescalations);
@@ -306,11 +289,7 @@ std::string VerifierReport::json() const {
     Out += ",\"backpressure\":" + backpressureJson(Backpressure);
   if (Adaptive.Enabled) {
     Out += ",\"adaptive\":{";
-    Out += "\"batch_target_final\":" +
-           std::to_string(Adaptive.BatchTargetFinal);
-    Out += ",\"batch_target_hwm\":" +
-           std::to_string(Adaptive.BatchTargetHwm);
-    Out += ",\"final_policy\":\"" + Adaptive.FinalPolicy + "\"";
+    Out += "\"final_policy\":\"" + Adaptive.FinalPolicy + "\"";
     Out += ",\"escalations\":" + std::to_string(Adaptive.Escalations);
     Out += ",\"deescalations\":" + std::to_string(Adaptive.Deescalations);
     Out += ",\"transitions\":[";
@@ -441,12 +420,9 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     Ctl = std::make_unique<AdaptiveController>(
         Config.Adaptive, Config.Backpressure.Policy, CanSpill);
     Ctl->setTelemetry(Telem.get());
-    TheLog->setBatchTargetHint(&Ctl->batchCell());
-    if (Ctl->dynamicPolicy())
+    if (Ctl->dynamicPolicy()) {
       TheLog->setDynamicPolicy(&Ctl->policyCell());
-    if (Telem) {
-      Telem->gaugeSet(Gauge::G_PumpBatchTarget, Ctl->batchTarget());
-      if (Ctl->dynamicPolicy())
+      if (Telem)
         Telem->gaugeSet(Gauge::G_PolicyActive,
                         static_cast<uint64_t>(Ctl->policy()));
     }
@@ -513,15 +489,15 @@ Hooks Verifier::hooks() const {
   return hooks(0);
 }
 
+/// Records per pump loop, for the checking and the shipping pump alike.
+/// Batch consumption amortizes one log wakeup + lock round trip over up
+/// to this many records.
+static constexpr size_t PumpBatch = 256;
+
 void Verifier::pump() {
-  // Batch consumption amortizes one log wakeup + lock round trip over up
-  // to PumpBatch records; each record is then routed to its object's
-  // pipeline (the checkers themselves stay record-at-a-time). With an
-  // adaptive controller the batch target is re-read every loop — it
-  // grows under lag and shrinks when the checkers keep up.
-  constexpr size_t FixedPumpBatch = 256;
+  // Each record of a batch is routed to its object's pipeline (the
+  // checkers themselves stay record-at-a-time).
   AdaptiveController *AC = Ctl.get();
-  size_t PumpBatch = AC ? AC->batchTarget() : FixedPumpBatch;
   std::vector<Action> Batch;
   Batch.reserve(PumpBatch);
   TelemetryCell *TC =
@@ -597,14 +573,9 @@ void Verifier::pump() {
         // the new rung takes effect without waiting for organic churn.
         TheLog->onPolicyChange();
       }
-      PumpBatch = AC->batchTarget();
-      if (Tracer && Telem) {
-        Tracer->noteGauge(LastSeq, "pump_batch_target",
-                          Telem->gauge(Gauge::G_PumpBatchTarget));
-        if (AC->dynamicPolicy())
-          Tracer->noteGauge(LastSeq, "policy_active",
-                            Telem->gauge(Gauge::G_PolicyActive));
-      }
+      if (Tracer && Telem && AC->dynamicPolicy())
+        Tracer->noteGauge(LastSeq, "policy_active",
+                          Telem->gauge(Gauge::G_PolicyActive));
     }
     if (Tracer && Telem && Config.Backpressure.Enabled) {
       Tracer->noteGauge(LastSeq, "pending_records",
@@ -630,7 +601,6 @@ void Verifier::shipPump() {
   // as the remote checker's watermark advances. Memory stays bounded on
   // both sides: here by SegmentBytes x live segments, there by the
   // receiver's feed.
-  constexpr size_t PumpBatch = 256;
   std::vector<Action> Batch;
   Batch.reserve(PumpBatch);
   std::vector<SegmentCut> Cuts;
@@ -796,8 +766,6 @@ VerifierReport Verifier::finish() {
     R.Adaptive.Enabled = true;
     R.Adaptive.Escalations = Ctl->escalations();
     R.Adaptive.Deescalations = Ctl->deescalations();
-    R.Adaptive.BatchTargetFinal = Ctl->batchTarget();
-    R.Adaptive.BatchTargetHwm = Ctl->batchTargetHwm();
     R.Adaptive.FinalPolicy = backpressurePolicyName(Ctl->policy());
     R.Adaptive.Transitions = Ctl->transitions();
   }

@@ -101,14 +101,11 @@ struct VerifierConfig {
   /// trimmed as checkers advance.
   BackpressureConfig Backpressure;
   /// Self-tuning pipeline (docs/ARCHITECTURE.md, "Self-tuning pipeline"):
-  /// when Adaptive.Enabled, an AIMD controller on the pump thread drives
-  /// the batch target off live checker lag, and — with
-  /// Adaptive.EscalatePolicy — walks the active admission policy up and
-  /// down the Block → Spill → Shed ladder under sustained pressure.
-  /// Requires Online; escalation additionally requires
-  /// Backpressure.Enabled. Off by default: the pipeline then behaves
-  /// bit-identically to previous releases (fixed 256-record batches,
-  /// static policy).
+  /// when Adaptive.Enabled, a controller on the pump thread walks the
+  /// active admission policy up and down the Block → Spill → Shed ladder
+  /// under sustained checker lag. Requires Online and
+  /// Backpressure.Enabled. Off by default: the policy is then the static
+  /// Backpressure.Policy.
   AdaptiveConfig Adaptive;
   /// Write spec-state snapshot sidecars at segment cuts (docs/SNAPSHOTS.md):
   /// whenever the segmented log rotates, the pump aligns every object's
@@ -218,9 +215,6 @@ struct VerifierReport {
     bool Enabled = false;
     uint64_t Escalations = 0;
     uint64_t Deescalations = 0;
-    /// Batch target when the run ended / the largest ever published.
-    size_t BatchTargetFinal = 0;
-    size_t BatchTargetHwm = 0;
     /// Policy active at the end ("block"/"spill"/"shed").
     std::string FinalPolicy;
     /// Every policy transition, oldest first.
@@ -346,9 +340,9 @@ private:
   bool degradeShipping(VerifierReport &R, uint64_t FinalSeqExclusive);
 
   VerifierConfig Config;
-  /// Declared before TheLog: the log holds raw pointers to the
-  /// controller's policy/batch-target cells, so the controller must
-  /// outlive it (members are destroyed in reverse declaration order).
+  /// Declared before TheLog: the log holds a raw pointer to the
+  /// controller's policy cell, so the controller must outlive it
+  /// (members are destroyed in reverse declaration order).
   std::unique_ptr<AdaptiveController> Ctl;
   std::unique_ptr<BufferedLog> TheLog;
   /// Declared after TheLog: the sampler (which probes the log's append

@@ -1,4 +1,4 @@
-//===- AdaptiveTest.cpp - Self-tuning pipeline controller tests -----------===//
+//===- AdaptiveTest.cpp - Admission-policy escalation ladder tests --------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -6,14 +6,13 @@
 ///
 /// \file
 /// Covers the adaptive pipeline at three layers: the AdaptiveController
-/// in isolation (fake-clock AIMD steps, escalation-ladder hysteresis —
-/// no sleeps, fully deterministic), the checker-pool admission clamp the
-/// controller made load-bearing (the bound must hold exactly even when
-/// the pump batch outgrows it), and end-to-end Verifier runs where a
-/// throttled checker forces real escalations whose verdicts must match
-/// the unbounded run. The multi-producer stress is part of the TSan
-/// suite — the policy/batch cells are read on producer, flusher and pump
-/// threads concurrently.
+/// in isolation (fake-clock escalation-ladder hysteresis — no sleeps,
+/// fully deterministic), the checker-pool admission clamp (the bound must
+/// hold exactly even when a pump batch is larger than it), and end-to-end
+/// Verifier runs where a throttled checker forces real escalations whose
+/// verdicts must match the unbounded run. The multi-producer stress is
+/// part of the TSan suite — the policy cell is read on producer, flusher
+/// and pump threads concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,17 +39,13 @@ struct FakeClock {
   uint64_t advanceUs(uint64_t Us) { return NowNs += Us * 1000; }
 };
 
-AdaptiveConfig testConfig() {
+AdaptiveConfig escalatingConfig() {
   AdaptiveConfig A;
   A.Enabled = true;
-  A.MinBatch = 64;
-  A.InitialBatch = 256;
-  A.MaxBatch = 1024;
-  A.GrowStep = 128;
-  A.ShrinkFactor = 0.5;
-  A.GrowLagRecords = 1000;
-  A.ShrinkLagRecords = 100;
-  A.DecisionIntervalUs = 100;
+  A.EscalateLagHi = 10000;
+  A.DeescalateLagLo = 50;
+  A.EscalateHoldUs = 1000;
+  A.DeescalateHoldUs = 2000;
   return A;
 }
 
@@ -63,130 +58,50 @@ AdaptiveConfig testConfig() {
 TEST(AdaptiveConfigTest, ValidateAcceptsDefaultsAndEnabled) {
   VerifierConfig C;
   EXPECT_EQ(C.validate(), "") << "adaptation off is the default";
+  C.Backpressure.Enabled = true;
   C.Adaptive.Enabled = true;
   EXPECT_EQ(C.validate(), "");
 }
 
 TEST(AdaptiveConfigTest, ValidateRejectsBadKnobs) {
   VerifierConfig C;
+  C.Backpressure.Enabled = true;
   C.Adaptive.Enabled = true;
 
-  C.Adaptive.MinBatch = 0;
-  EXPECT_NE(C.validate(), "");
-  C.Adaptive = AdaptiveConfig{};
-  C.Adaptive.Enabled = true;
+  C.Adaptive.DeescalateLagLo = C.Adaptive.EscalateLagHi + 1;
+  EXPECT_NE(C.validate().find("must be < Adaptive.EscalateLagHi"),
+            std::string::npos)
+      << C.validate();
+  C.Adaptive.DeescalateLagLo = C.Adaptive.EscalateLagHi - 1;
+  EXPECT_EQ(C.validate(), "") << "a one-record dead band is enough";
 
-  C.Adaptive.MaxBatch = C.Adaptive.MinBatch - 1;
-  EXPECT_NE(C.validate(), "");
-  C.Adaptive = AdaptiveConfig{};
-  C.Adaptive.Enabled = true;
-
-  C.Adaptive.InitialBatch = C.Adaptive.MaxBatch + 1;
-  EXPECT_NE(C.validate(), "") << "initial target outside [min, max]";
-  C.Adaptive = AdaptiveConfig{};
-  C.Adaptive.Enabled = true;
-
-  C.Adaptive.GrowStep = 0;
-  EXPECT_NE(C.validate(), "");
-  C.Adaptive = AdaptiveConfig{};
-  C.Adaptive.Enabled = true;
-
-  C.Adaptive.ShrinkFactor = 0.0;
-  EXPECT_NE(C.validate(), "");
-  C.Adaptive.ShrinkFactor = 1.5;
-  EXPECT_NE(C.validate(), "");
-  C.Adaptive.ShrinkFactor = 1.0;
-  EXPECT_EQ(C.validate(), "") << "1.0 (never shrink) is a valid choice";
-
+  // Offline spill is the one bounded policy an offline run accepts, so
+  // it is the one that reaches the ladder's own Online rule.
   C.Online = false;
-  EXPECT_NE(C.validate(), "") << "no live lag to react to offline";
+  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
+  C.LogFilePath = "/tmp/x.bin";
+  EXPECT_NE(C.validate().find("Adaptive.Enabled requires Online"),
+            std::string::npos)
+      << "no live lag to react to offline: " << C.validate();
 }
 
 TEST(AdaptiveConfigTest, ValidateRejectsEscalationWithoutBackpressure) {
   VerifierConfig C;
   C.Adaptive.Enabled = true;
-  C.Adaptive.EscalatePolicy = true;
-  EXPECT_NE(C.validate(), "") << "no admission policy to escalate";
+  EXPECT_NE(C.validate().find("Adaptive.Enabled requires Backpressure."
+                              "Enabled"),
+            std::string::npos)
+      << "no admission policy to escalate: " << C.validate();
   C.Backpressure.Enabled = true;
   EXPECT_EQ(C.validate(), "");
   C.Adaptive.DeescalateLagLo = C.Adaptive.EscalateLagHi;
-  EXPECT_NE(C.validate(), "") << "watermarks need a dead band";
-}
-
-//===----------------------------------------------------------------------===//
-// AIMD batch target (fake clock, no sleeps)
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveControllerTest, GrowsAdditivelyUnderLagUpToMax) {
-  AdaptiveConfig A = testConfig();
-  AdaptiveController Ctl(A, BackpressurePolicy::BP_Block, false);
-  FakeClock Clk;
-  EXPECT_EQ(Ctl.batchTarget(), 256u);
-  // Each paced decision with lag >= GrowLagRecords adds GrowStep.
-  Ctl.observe(5000, 0, Clk.NowNs);
-  EXPECT_EQ(Ctl.batchTarget(), 384u);
-  Ctl.observe(5000, 0, Clk.advanceUs(A.DecisionIntervalUs));
-  EXPECT_EQ(Ctl.batchTarget(), 512u);
-  for (int I = 0; I < 20; ++I)
-    Ctl.observe(5000, 0, Clk.advanceUs(A.DecisionIntervalUs));
-  EXPECT_EQ(Ctl.batchTarget(), A.MaxBatch) << "clamped at MaxBatch";
-  EXPECT_EQ(Ctl.batchTargetHwm(), A.MaxBatch);
-}
-
-TEST(AdaptiveControllerTest, ShrinksMultiplicativelyDownToMin) {
-  AdaptiveConfig A = testConfig();
-  AdaptiveController Ctl(A, BackpressurePolicy::BP_Block, false);
-  FakeClock Clk;
-  Ctl.observe(0, 0, Clk.NowNs); // 256 -> 128
-  EXPECT_EQ(Ctl.batchTarget(), 128u);
-  Ctl.observe(0, 0, Clk.advanceUs(A.DecisionIntervalUs)); // 128 -> 64
-  EXPECT_EQ(Ctl.batchTarget(), A.MinBatch);
-  Ctl.observe(0, 0, Clk.advanceUs(A.DecisionIntervalUs));
-  EXPECT_EQ(Ctl.batchTarget(), A.MinBatch) << "clamped at MinBatch";
-  EXPECT_EQ(Ctl.batchTargetHwm(), 256u) << "HWM remembers the start";
-}
-
-TEST(AdaptiveControllerTest, DecisionsArePacedByInterval) {
-  AdaptiveConfig A = testConfig();
-  AdaptiveController Ctl(A, BackpressurePolicy::BP_Block, false);
-  FakeClock Clk;
-  Ctl.observe(5000, 0, Clk.NowNs); // 256 -> 384, starts the interval
-  // Calls inside the decision interval are lag samples, not steps: tiny
-  // adaptive batches must not turn into a growth step per pump loop.
-  for (int I = 0; I < 50; ++I)
-    Ctl.observe(5000, 0, Clk.advanceUs(1));
-  EXPECT_EQ(Ctl.batchTarget(), 384u);
-  Ctl.observe(5000, 0, Clk.advanceUs(A.DecisionIntervalUs));
-  EXPECT_EQ(Ctl.batchTarget(), 512u);
-}
-
-TEST(AdaptiveControllerTest, DeadZoneHoldsTheTarget) {
-  AdaptiveConfig A = testConfig();
-  AdaptiveController Ctl(A, BackpressurePolicy::BP_Block, false);
-  FakeClock Clk;
-  // Lag between the shrink and grow watermarks: no change, ever.
-  for (int I = 0; I < 10; ++I)
-    Ctl.observe(500, 0, Clk.advanceUs(A.DecisionIntervalUs));
-  EXPECT_EQ(Ctl.batchTarget(), 256u);
+  EXPECT_NE(C.validate().find("dead band"), std::string::npos)
+      << "watermarks need a dead band: " << C.validate();
 }
 
 //===----------------------------------------------------------------------===//
 // Escalation ladder + hysteresis (fake clock, no sleeps)
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-AdaptiveConfig escalatingConfig() {
-  AdaptiveConfig A = testConfig();
-  A.EscalatePolicy = true;
-  A.EscalateLagHi = 10000;
-  A.DeescalateLagLo = 50;
-  A.EscalateHoldUs = 1000;
-  A.DeescalateHoldUs = 2000;
-  return A;
-}
-
-} // namespace
 
 TEST(AdaptiveControllerTest, LadderShapeFollowsBaseAndSpillCapability) {
   AdaptiveConfig A = escalatingConfig();
@@ -212,11 +127,22 @@ TEST(AdaptiveControllerTest, LadderShapeFollowsBaseAndSpillCapability) {
     AdaptiveController C(A, BackpressurePolicy::BP_Shed, false);
     EXPECT_FALSE(C.dynamicPolicy()) << "shed has nowhere to escalate";
   }
-  {
-    AdaptiveConfig Off = testConfig(); // EscalatePolicy = false
-    AdaptiveController C(Off, BackpressurePolicy::BP_Block, true);
-    EXPECT_FALSE(C.dynamicPolicy());
+}
+
+TEST(AdaptiveControllerTest, DeadZoneHoldsTheTarget) {
+  AdaptiveConfig A = escalatingConfig();
+  AdaptiveController Ctl(A, BackpressurePolicy::BP_Block, true);
+  FakeClock Clk;
+  // Lag held strictly between DeescalateLagLo and EscalateLagHi, for far
+  // longer than either hold: the policy never moves.
+  for (int I = 0; I < 100; ++I) {
+    EXPECT_FALSE(Ctl.observe(A.DeescalateLagLo + 1, 0, Clk.advanceUs(500)));
+    EXPECT_FALSE(Ctl.observe(A.EscalateLagHi - 1, 0, Clk.advanceUs(500)));
   }
+  EXPECT_EQ(Ctl.policy(), BackpressurePolicy::BP_Block);
+  EXPECT_EQ(Ctl.escalations(), 0u);
+  EXPECT_EQ(Ctl.deescalations(), 0u);
+  EXPECT_TRUE(Ctl.transitions().empty());
 }
 
 TEST(AdaptiveControllerTest, EscalatesOnlyAfterSustainedLag) {
@@ -371,36 +297,19 @@ VerifierReport runThrottled(VerifierConfig C, unsigned ThrottleUs,
 TEST(AdaptiveVerifierTest, PoolAdmissionNeverOvershootsTheBound) {
   // Regression: pool admission used to be batch-granular (wait for room,
   // then add the whole batch), overshooting MaxPendingRecords by up to a
-  // pump batch — with adaptive sizing, by up to MaxBatch. Admission is
-  // now sliced at the free room, so the bound holds exactly.
+  // pump batch. The fixed 256-record pump batch is already larger than
+  // the 64-record bound; admission is now sliced at the free room, so
+  // the bound holds exactly.
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
   C.CheckerThreads = 2;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 64;
-  C.Adaptive.Enabled = true; // batches grow well past the bound
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
   EXPECT_TRUE(R.ok()) << R.str();
   EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
   EXPECT_LE(R.Backpressure.PendingRecordsHwm, 64u)
       << "the bound must hold exactly, not modulo one batch";
-  EXPECT_GE(R.Adaptive.BatchTargetHwm, 256u);
-}
-
-TEST(AdaptiveVerifierTest, BatchTargetGrowsUnderBacklogAndReportsIt) {
-  VerifierConfig C;
-  C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Adaptive.Enabled = true;
-  C.Adaptive.GrowLagRecords = 256;
-  C.Adaptive.DecisionIntervalUs = 50;
-  VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/4000);
-  EXPECT_TRUE(R.ok()) << R.str();
-  EXPECT_TRUE(R.Adaptive.Enabled);
-  EXPECT_GT(R.Adaptive.BatchTargetHwm, 256u)
-      << "a 1us/step checker must fall behind and grow the batch";
-  EXPECT_NE(R.str().find("adaptive:"), std::string::npos) << R.str();
-  EXPECT_TRUE(jsonValid(R.json())) << R.json();
-  EXPECT_NE(R.json().find("\"adaptive\""), std::string::npos);
 }
 
 TEST(AdaptiveVerifierTest, EscalationFiresAndVerdictsMatchUnbounded) {
@@ -422,7 +331,6 @@ TEST(AdaptiveVerifierTest, EscalationFiresAndVerdictsMatchUnbounded) {
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 512;
   C.Adaptive.Enabled = true;
-  C.Adaptive.EscalatePolicy = true;
   C.Adaptive.EscalateLagHi = 256;
   C.Adaptive.DeescalateLagLo = 8;
   C.Adaptive.EscalateHoldUs = 200;
@@ -436,6 +344,7 @@ TEST(AdaptiveVerifierTest, EscalationFiresAndVerdictsMatchUnbounded) {
       << "the seeded violation must survive escalation: " << B.str();
   EXPECT_EQ(B.Violations[0].Kind, A.Violations[0].Kind);
   EXPECT_EQ(B.Violations[0].Seq, A.Violations[0].Seq);
+  EXPECT_NE(B.str().find("adaptive: policy="), std::string::npos) << B.str();
   EXPECT_TRUE(jsonValid(B.json())) << B.json();
   EXPECT_NE(B.json().find("\"transitions\""), std::string::npos);
 }
@@ -481,7 +390,6 @@ TEST(AdaptiveStressTest, BlockedProducersNeverDuplicateSpillReadRecords) {
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 128;
   C.Adaptive.Enabled = true;
-  C.Adaptive.EscalatePolicy = true;
   // Lag is capped under block: at the bound plus what the log holds in
   // flight (its reorder window and one 1024-record shard ring per
   // producer). With the watermark above that cap the ladder never moves:
@@ -520,9 +428,8 @@ TEST(AdaptiveStressTest, BlockedProducersNeverDuplicateSpillReadRecords) {
 
 TEST(AdaptiveStressTest, FourProducersWithAdaptationAndEscalation) {
   // Four producer threads through the log's shard rings, a
-  // throttled checker, adaptation and escalation armed: the policy cell
-  // is written by the pump and read by the flusher's admission, the
-  // batch cell by the pump and the flusher's emit quantum. One Set(7)
+  // throttled checker, escalation armed: the policy cell is written by
+  // the pump and read by the flusher's admission. One Set(7)
   // first, then concurrent Get()==7 observers — always correct, from
   // any interleaving.
   ThrottledRegisterSpec Script;
@@ -531,7 +438,6 @@ TEST(AdaptiveStressTest, FourProducersWithAdaptationAndEscalation) {
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 512;
   C.Adaptive.Enabled = true;
-  C.Adaptive.EscalatePolicy = true;
   C.Adaptive.EscalateLagHi = 384;
   C.Adaptive.DeescalateLagLo = 16;
   C.Adaptive.EscalateHoldUs = 200;

@@ -173,7 +173,9 @@ TEST(BackpressureConfigTest, ValidateRejectsZeroPendingBound) {
   VerifierConfig C;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 0;
-  EXPECT_NE(C.validate(), "");
+  EXPECT_NE(C.validate().find("MaxPendingRecords must be >= 1"),
+            std::string::npos)
+      << C.validate();
   C.Backpressure.Enabled = false;
   EXPECT_EQ(C.validate(), "") << "the bound is ignored while disabled";
 }
@@ -182,7 +184,9 @@ TEST(BackpressureConfigTest, ValidateRejectsSpillWithoutFileBackedLog) {
   VerifierConfig C;
   C.Backpressure.Enabled = true;
   C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
-  EXPECT_NE(C.validate(), "") << "no LogFilePath: nowhere to spill";
+  EXPECT_NE(C.validate().find("BP_SpillToDisk requires a file-backed log"),
+            std::string::npos)
+      << "no LogFilePath: nowhere to spill: " << C.validate();
   C.LogFilePath = "/tmp/x.bin";
   EXPECT_EQ(C.validate(), "");
 }
@@ -192,10 +196,12 @@ TEST(BackpressureConfigTest, ValidateRejectsOfflineBlockAndShed) {
   C.Online = false;
   C.Backpressure.Enabled = true;
   C.Backpressure.Policy = BackpressurePolicy::BP_Block;
-  EXPECT_NE(C.validate(), "")
-      << "offline has no concurrent reader: a blocked producer deadlocks";
+  EXPECT_NE(C.validate().find("BP_Block requires Online"), std::string::npos)
+      << "offline has no concurrent reader: a blocked producer deadlocks: "
+      << C.validate();
   C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-  EXPECT_NE(C.validate(), "");
+  EXPECT_NE(C.validate().find("BP_Shed requires Online"), std::string::npos)
+      << C.validate();
   C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   C.LogFilePath = "/tmp/x.bin";
   EXPECT_EQ(C.validate(), "")

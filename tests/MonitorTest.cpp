@@ -292,11 +292,15 @@ TEST(MonitorTest, ServerRefusesUnbindablePath) {
 TEST(MonitorTest, ConfigValidation) {
   VerifierConfig VC;
   VC.Monitor.SocketPath = tempSocketPath("val");
-  EXPECT_NE(VC.validate(), "") << "monitor without telemetry must fail";
+  EXPECT_NE(VC.validate().find("Monitor.SocketPath requires Telemetry"),
+            std::string::npos)
+      << "monitor without telemetry must fail: " << VC.validate();
   VC.Telemetry.Enabled = true;
   EXPECT_EQ(VC.validate(), "");
   VC.Monitor.MaxClients = 0;
-  EXPECT_NE(VC.validate(), "");
+  EXPECT_NE(VC.validate().find("Monitor.MaxClients must be >= 1"),
+            std::string::npos)
+      << VC.validate();
 }
 
 TEST(MonitorTest, MultiClientAttachDetachMidRun) {

@@ -382,33 +382,50 @@ TEST(ShippingTest, EndpointParsing) {
 TEST(ShippingTest, ConfigValidationGatesShipping) {
   VerifierConfig VC;
   VC.Shipping.Endpoint = "unix:/tmp/vyrd-shiptest-validate.sock";
-  EXPECT_FALSE(VC.validate().empty())
-      << "shipping without a segmented file log must be rejected";
+  EXPECT_NE(VC.validate().find("Shipping requires a file-backed log"),
+            std::string::npos)
+      << "shipping without a segmented file log must be rejected: "
+      << VC.validate();
   VC.LogFilePath = "/tmp/vyrd-shiptest-validate.bin";
   VC.Backpressure.SegmentBytes = 1 << 20;
-  EXPECT_FALSE(VC.validate().empty()) << "shipping needs a program key";
+  EXPECT_NE(VC.validate().find("Shipping.Program must name"),
+            std::string::npos)
+      << "shipping needs a program key: " << VC.validate();
   VC.Shipping.Program = "multiset";
   EXPECT_TRUE(VC.validate().empty()) << VC.validate();
 
   VerifierConfig Good = VC;
   VC.Online = false;
-  EXPECT_FALSE(VC.validate().empty()) << "shipping is an online pipeline";
+  EXPECT_NE(VC.validate().find("Shipping requires Online"), std::string::npos)
+      << "shipping is an online pipeline: " << VC.validate();
   VC = Good;
   VC.Snapshots = true;
-  EXPECT_FALSE(VC.validate().empty());
+  EXPECT_NE(VC.validate().find("Shipping excludes Snapshots"),
+            std::string::npos)
+      << VC.validate();
   VC = Good;
+  VC.Backpressure.Enabled = true;
   VC.Adaptive.Enabled = true;
-  EXPECT_FALSE(VC.validate().empty());
+  EXPECT_NE(VC.validate().find("Shipping excludes Adaptive"),
+            std::string::npos)
+      << VC.validate();
   VC = Good;
   VC.Shipping.MaxRetries = 0;
-  EXPECT_FALSE(VC.validate().empty());
+  EXPECT_NE(VC.validate().find("Shipping.MaxRetries must be >= 1"),
+            std::string::npos)
+      << VC.validate();
   VC = Good;
   VC.Shipping.Endpoint = "tcp:host";
-  EXPECT_FALSE(VC.validate().empty());
+  EXPECT_NE(VC.validate().find("Shipping.Endpoint: tcp endpoint needs host "
+                               "and port"),
+            std::string::npos)
+      << VC.validate();
   VC = Good;
   VC.Shipping.Endpoint =
       "unix:/" + std::string(maxUnixSocketPathLen() + 8, 'p');
-  EXPECT_FALSE(VC.validate().empty());
+  EXPECT_NE(VC.validate().find("Shipping.Endpoint: unix socket path exceeds"),
+            std::string::npos)
+      << VC.validate();
 }
 
 TEST(ShippingTest, ConfigValidationRejectsOverlongMonitorSocket) {

@@ -560,11 +560,15 @@ TEST(SnapshotTest, UnsupportedSpecSkipsSidecarsGracefully) {
 TEST(SnapshotTest, ConfigValidationGatesSnapshots) {
   VerifierConfig VC;
   VC.Snapshots = true;
-  EXPECT_FALSE(VC.validate().empty())
-      << "snapshots without segmentation must be rejected";
+  EXPECT_NE(VC.validate().find("Snapshots requires Backpressure.SegmentBytes"),
+            std::string::npos)
+      << "snapshots without segmentation must be rejected: "
+      << VC.validate();
   VC.Backpressure.SegmentBytes = 1 << 20;
-  EXPECT_FALSE(VC.validate().empty())
-      << "snapshots without a file-backed log must be rejected";
+  EXPECT_NE(VC.validate().find("Snapshots requires a file-backed log"),
+            std::string::npos)
+      << "snapshots without a file-backed log must be rejected: "
+      << VC.validate();
   VC.LogFilePath = "/tmp/vyrd-snaptest-validate.bin";
   EXPECT_TRUE(VC.validate().empty()) << VC.validate();
 }

@@ -236,44 +236,44 @@ TEST(TelemetryTest, MetricNamesAreDefined) {
 }
 
 TEST(TelemetryTest, GaugeSetOverwritesAndKeepsHwm) {
-  // The adaptive controller publishes its decisions with gaugeSet (plain
+  // The shipper and the adaptive controller publish with gaugeSet (plain
   // relaxed stores): the value is a point-in-time truth, the HWM keeps
-  // the largest target ever published.
+  // the largest value ever published.
   Telemetry T;
-  T.gaugeSet(Gauge::G_PumpBatchTarget, 512);
-  T.gaugeSet(Gauge::G_PumpBatchTarget, 2048);
-  T.gaugeSet(Gauge::G_PumpBatchTarget, 128);
+  T.gaugeSet(Gauge::G_ShipUnshippedSegments, 5);
+  T.gaugeSet(Gauge::G_ShipUnshippedSegments, 20);
+  T.gaugeSet(Gauge::G_ShipUnshippedSegments, 2);
   T.gaugeSet(Gauge::G_PolicyActive,
              static_cast<uint64_t>(BackpressurePolicy::BP_SpillToDisk));
   TelemetrySnapshot S = T.snapshot();
-  EXPECT_EQ(S.gauge(Gauge::G_PumpBatchTarget), 128u);
-  EXPECT_EQ(S.gaugeHwm(Gauge::G_PumpBatchTarget), 2048u);
+  EXPECT_EQ(S.gauge(Gauge::G_ShipUnshippedSegments), 2u);
+  EXPECT_EQ(S.gaugeHwm(Gauge::G_ShipUnshippedSegments), 20u);
   EXPECT_EQ(S.gauge(Gauge::G_PolicyActive),
             static_cast<uint64_t>(BackpressurePolicy::BP_SpillToDisk));
   std::string J = S.json();
-  EXPECT_NE(J.find("\"pump_batch_target\""), std::string::npos) << J;
+  EXPECT_NE(J.find("\"ship_unshipped_segments\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"policy_active\""), std::string::npos) << J;
 }
 
 TEST(TelemetryTest, ControlGaugesAreSafeUnderConcurrentSnapshots) {
-  // One writer hammering the control-loop gauges (as the pump thread
-  // does) while another thread snapshots: relaxed atomics, no torn or
-  // out-of-range values ever observed.
+  // One writer hammering the plain-set gauges (as the ship pump and the
+  // controller do) while another thread snapshots: relaxed atomics, no
+  // torn or out-of-range values ever observed.
   Telemetry T;
   std::atomic<bool> Stop{false};
   std::thread Writer([&] {
     for (uint64_t I = 1; !Stop.load(std::memory_order_relaxed); ++I) {
-      T.gaugeSet(Gauge::G_PumpBatchTarget, 64 + (I % 8192));
+      T.gaugeSet(Gauge::G_ShipUnshippedSegments, 64 + (I % 8192));
       T.gaugeSet(Gauge::G_PolicyActive, I % 3);
     }
   });
   for (int I = 0; I < 200; ++I) {
     TelemetrySnapshot S = T.snapshot();
-    uint64_t Target = S.gauge(Gauge::G_PumpBatchTarget);
-    if (Target) {
-      EXPECT_GE(Target, 64u);
-      EXPECT_LT(Target, 64u + 8192u);
-      EXPECT_LE(Target, S.gaugeHwm(Gauge::G_PumpBatchTarget));
+    uint64_t Unshipped = S.gauge(Gauge::G_ShipUnshippedSegments);
+    if (Unshipped) {
+      EXPECT_GE(Unshipped, 64u);
+      EXPECT_LT(Unshipped, 64u + 8192u);
+      EXPECT_LE(Unshipped, S.gaugeHwm(Gauge::G_ShipUnshippedSegments));
     }
     EXPECT_LT(S.gauge(Gauge::G_PolicyActive), 3u);
   }

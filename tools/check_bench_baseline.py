@@ -51,21 +51,19 @@ def load_metrics(log_backends_path, hotpath_path, backpressure_path=None,
         # fails on a wrong transition sequence), not a perf metric.
         with open(backpressure_path) as f:
             for row in json.load(f):
-                if row["config"] not in ("unbounded", "block", "spill",
-                                         "fixed-256", "adaptive-on"):
+                if row["config"] not in ("unbounded", "block", "spill"):
                     continue
                 key = "backpressure/%s/append_per_s" % row["config"]
                 metrics[key] = {
                     "kind": "throughput",
                     "value": row["throughput"],
                 }
-                if row["config"] in ("fixed-256", "adaptive-on"):
-                    # The self-tuning pipeline's robust win on any host:
-                    # draining whole queues per sync makes the producer
-                    # block far less often. Gated as a latency-kind
-                    # metric (above baseline * factor fails).
-                    metrics["backpressure/%s/blocked_p99_ns" %
-                            row["config"]] = {
+                if row["config"] == "block":
+                    # The tail latency of an append once the producer
+                    # absorbs the checker's pace: a wait/wake path that
+                    # lost its batching shows here first. Gated as a
+                    # latency-kind metric (above baseline * factor fails).
+                    metrics["backpressure/block/blocked_p99_ns"] = {
                         "kind": "latency",
                         "value": row["extra"]["blocked_p99_ns"],
                     }
