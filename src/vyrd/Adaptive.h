@@ -22,8 +22,8 @@
 /// observe() with the current lag and a caller-supplied clock, so unit
 /// tests drive it with fake nanoseconds and no sleeps. The decision is
 /// published through a plain relaxed atomic (the policy cell) that the
-/// log's flusher and the checker-pool admission read on their own
-/// threads.
+/// log's flusher, the pipeline's one admission point, reads on its own
+/// thread.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,11 @@
 /// decouples instrumented threads from the verification thread; without a
 /// bound, every link of that chain (the log's reader queue, the checker
 /// pool's pending queues) grows whenever checkers lag producers.
-/// BackpressureConfig states the memory ceiling and the admission policy
-/// every stage enforces when it is reached:
+/// BackpressureConfig states the memory ceiling of every link and the
+/// admission policy the log enforces when its queue is full. The log is
+/// the one admission point: the checker pool is a plain bounded hand-off
+/// whose full queue parks the pump, which backs the log up into the
+/// policy below.
 ///
 ///  * BP_Block       — bounded blocking append: the producer waits for the
 ///                     reader to make room. Safe default; requires a
@@ -62,9 +65,10 @@ enum class BackpressurePolicy : uint8_t {
 /// Short printable name ("block", "spill", "shed").
 const char *backpressurePolicyName(BackpressurePolicy P);
 
-/// The pipeline-wide bound and admission policy, enforced uniformly by
-/// BufferedLog's flusher and the checker pool's pending queues. Part of
-/// VerifierConfig; validated there.
+/// The pipeline-wide bound and admission policy. MaxPendingRecords caps
+/// both BufferedLog's reader queue and the checker pool's pending queues;
+/// only the log's flusher applies Policy. Part of VerifierConfig;
+/// validated there.
 struct BackpressureConfig {
   /// Master switch. Disabled (the default) keeps the historical
   /// unbounded behavior of every stage.
@@ -72,10 +76,7 @@ struct BackpressureConfig {
   /// Ceiling on records pending in any one stage's in-memory queue.
   /// Must be >= 1 when Enabled.
   size_t MaxPendingRecords = 1 << 16;
-  /// Optional ceiling on the estimated bytes those pending records pin
-  /// (actionFootprintBytes). 0 = no byte bound. Whichever of the two
-  /// ceilings is hit first triggers the policy.
-  size_t MaxTailBytes = 0;
+  /// What the log does with a record once its queue is at the ceiling.
   BackpressurePolicy Policy = BackpressurePolicy::BP_Block;
   /// When > 0, file-backed logs rotate into numbered segment files of
   /// roughly this many bytes (see SegmentSink). 0 = one plain log file,
@@ -90,8 +91,9 @@ struct BackpressureConfig {
 /// Counters a bounded stage keeps about its admission decisions. Exact:
 /// updated under the stage's own lock, independent of telemetry.
 struct BackpressureStats {
-  /// Appends that had to wait for space (BP_Block), and the total time
-  /// they spent waiting.
+  /// Admissions that had to wait for space (the log under BP_Block, the
+  /// checker pool's dispatch under any policy), and the total time they
+  /// spent waiting.
   uint64_t BlockedAppends = 0;
   uint64_t BlockedNanos = 0;
   /// Records dropped by BP_Shed (whole observer executions).
@@ -114,9 +116,9 @@ struct BackpressureStats {
 };
 
 /// Rough bytes one pending Action pins: the record itself plus heap
-/// payloads (spilled argument lists, string/bytes values). Used for the
-/// MaxTailBytes ceiling and the G_TailBytes gauge; an estimate — small
-/// allocator overhead is not modeled.
+/// payloads (spilled argument lists, string/bytes values). Feeds the
+/// G_TailBytes gauge and BackpressureStats::TailBytesHwm; an estimate —
+/// small allocator overhead is not modeled.
 size_t actionFootprintBytes(const Action &A);
 
 /// The BP_Shed decision procedure. Sheds *whole observer executions*:
@@ -124,8 +126,8 @@ size_t actionFootprintBytes(const Action &A);
 /// the classifier marks observer-only, the call and everything the same
 /// (object, thread) emits up to and including the matching AK_Return are
 /// dropped together — a return whose call was admitted is never dropped,
-/// and no execution is ever delivered half. Not thread-safe; each stage
-/// owns one instance and calls it under its admission lock, in admission
+/// and no execution is ever delivered half. Not thread-safe; the log owns
+/// the one instance and calls it under its admission lock, in admission
 /// order.
 class ShedFilter {
 public:
@@ -137,7 +139,6 @@ public:
   void setClassifier(std::function<bool(const Action &)> Fn) {
     Classifier = std::move(Fn);
   }
-  bool hasClassifier() const { return static_cast<bool>(Classifier); }
 
   /// Decides \p A's fate. \p OverLimit: is the stage's queue at/over its
   /// ceiling right now. \returns true when \p A must be dropped.

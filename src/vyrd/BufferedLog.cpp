@@ -329,8 +329,7 @@ void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
       // policy rather than admitted as if nothing changed.
       for (;;) {
         BackpressurePolicy P = I->activePolicy();
-        bool Over = I->Q.size() >= BP.MaxPendingRecords ||
-                    (BP.MaxTailBytes && I->QBytes >= BP.MaxTailBytes);
+        bool Over = I->Q.size() >= BP.MaxPendingRecords;
         if (P == BackpressurePolicy::BP_Shed || I->hasDynamicPolicy()) {
           // With a dynamic policy the filter is consulted under every
           // rung so open shed windows close whole: continuation records
@@ -384,8 +383,7 @@ void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
         // goes to sleep, or neither ever wakes.
         I->QCV.notify_all();
         I->QSpaceCV.wait(Lock, [&] {
-          return (I->Q.size() < BP.MaxPendingRecords &&
-                  (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes)) ||
+          return I->Q.size() < BP.MaxPendingRecords ||
                  I->activePolicy() != BackpressurePolicy::BP_Block;
         });
       }

@@ -78,7 +78,7 @@ struct CheckerService::ObjectState {
 class CheckerService::CheckerPool {
 public:
   CheckerPool(CheckerService &S, unsigned NumWorkers)
-      : S(S), BP(S.Opts.Backpressure) {
+      : S(S), MaxPending(S.Opts.MaxPendingRecords) {
     Workers.reserve(NumWorkers);
     for (unsigned I = 0; I < NumWorkers; ++I)
       Workers.emplace_back([this] { workerMain(); });
@@ -91,46 +91,13 @@ public:
   /// and the workers circulate a bounded set of batch buffers instead of
   /// allocating a fresh one per dispatch.
   ///
-  /// With backpressure enabled the total records pending across objects
-  /// are bounded by MaxPendingRecords: BP_Block (and BP_SpillToDisk,
-  /// which has nothing left to spill here — the records are already in
-  /// memory) parks the pump until workers drain below the bound, so the
-  /// pressure propagates back into the log; BP_Shed drops observer
-  /// executions from the batch while over the bound. Admission is sliced
-  /// at the free room, so occupancy never exceeds the bound (the old
-  /// batch-granular path could overshoot by a whole pump batch).
+  /// With MaxPending set, the records pending across objects never
+  /// exceed it: admission is sliced at the free room, and when there is
+  /// none the pump parks until workers drain below the bound. The
+  /// pressure thereby propagates back into the log, the pipeline's one
+  /// admission point, which applies the backpressure policy.
   void dispatch(ObjectState &O, std::vector<Action> &Batch) {
     std::unique_lock Lock(M);
-    const bool Dynamic = S.Ctl && S.Ctl->dynamicPolicy();
-    auto Active = [&] {
-      return Dynamic ? S.Ctl->policy() : BP.Policy;
-    };
-    if (BP.Enabled) {
-      BackpressurePolicy P = Active();
-      if ((P == BackpressurePolicy::BP_Shed || Dynamic) &&
-          Shed.hasClassifier()) {
-        // With a dynamic policy the filter runs under every rung (new
-        // sheds only while BP_Shed is active and over the bound) so open
-        // shed windows close whole across de-escalations.
-        size_t Kept = 0;
-        for (size_t I = 0; I < Batch.size(); ++I) {
-          bool Over = P == BackpressurePolicy::BP_Shed &&
-                      PendingRecs + Kept >= BP.MaxPendingRecords;
-          if (Shed.shouldShed(Batch[I], Over)) {
-            ++Stats.ShedRecords;
-            continue;
-          }
-          if (Kept != I)
-            Batch[Kept] = std::move(Batch[I]);
-          ++Kept;
-        }
-        if (size_t ShedNow = Batch.size() - Kept; ShedNow && S.Telem)
-          S.Telem->count(Counter::C_ShedRecords, ShedNow);
-        Batch.resize(Kept);
-        if (Batch.empty())
-          return; // whole batch shed; buffer reused as-is next round
-      }
-    }
     const size_t Total = Batch.size();
     size_t Begin = 0;
     bool MovedWhole = false;
@@ -174,13 +141,10 @@ public:
     };
     while (Begin < Total) {
       size_t N = Total - Begin;
-      if (BP.Enabled && Active() != BackpressurePolicy::BP_Shed) {
-        if (PendingRecs >= BP.MaxPendingRecords) {
+      if (MaxPending) {
+        if (PendingRecs >= MaxPending) {
           uint64_t T0 = telemetryNowNanos();
-          SpaceCV.wait(Lock, [&] {
-            return PendingRecs < BP.MaxPendingRecords ||
-                   Active() == BackpressurePolicy::BP_Shed;
-          });
+          SpaceCV.wait(Lock, [&] { return PendingRecs < MaxPending; });
           uint64_t Waited = telemetryNowNanos() - T0;
           ++Stats.BlockedAppends;
           Stats.BlockedNanos += Waited;
@@ -188,9 +152,8 @@ public:
             S.Telem->count(Counter::C_BlockedAppends);
             S.Telem->cell().record(Histo::H_BlockedNs, Waited);
           }
-          continue; // re-decide: room may be partial, policy may differ
         }
-        N = std::min<size_t>(N, BP.MaxPendingRecords - PendingRecs);
+        N = std::min<size_t>(N, MaxPending - PendingRecs);
       }
       EnqueueLocked(N);
       Begin += N;
@@ -209,13 +172,6 @@ public:
       if (O->PendingRecs)
         W = std::min(W, O->FedExclusive);
     return W;
-  }
-
-  /// Installs the observer classifier BP_Shed consults (same contract as
-  /// BufferedLog::setShedClassifier). Call before the pump dispatches.
-  void setShedClassifier(std::function<bool(const Action &)> Fn) {
-    std::lock_guard Lock(M);
-    Shed.setClassifier(std::move(Fn));
   }
 
   BackpressureStats stats() const {
@@ -291,7 +247,7 @@ private:
           PendingRecs -= BatchN;
           if (S.Telem)
             S.Telem->gaugeSub(Gauge::G_PendingRecords, BatchN);
-          if (BP.Enabled)
+          if (MaxPending)
             SpaceCV.notify_one();
         }
         if (FreeBatches.size() < MaxFreeBatches)
@@ -301,12 +257,12 @@ private:
   }
 
   CheckerService &S;
-  const BackpressureConfig BP;
+  /// Ceiling on PendingRecs; 0 = unbounded.
+  const size_t MaxPending;
   mutable std::mutex M;
   std::condition_variable WorkCV; ///< workers wait for runnable objects
   std::condition_variable IdleCV; ///< drainAndJoin waits for quiescence
-  std::condition_variable SpaceCV; ///< BP_Block: pump waits for room
-  ShedFilter Shed;                 ///< BP_Shed windows (guarded by M)
+  std::condition_variable SpaceCV; ///< pump waits for room under the bound
   BackpressureStats Stats;         ///< admission accounting (guarded by M)
   /// Records pending across all objects (dispatched, not yet fed).
   uint64_t PendingRecs = 0;
@@ -372,12 +328,6 @@ bool CheckerService::isObserverCall(const Action &A) const {
 void CheckerService::startPool(unsigned NumWorkers) {
   assert(!Pool && "startPool called twice");
   Pool = std::make_unique<CheckerPool>(*this, NumWorkers);
-}
-
-void CheckerService::setShedClassifier(
-    std::function<bool(const Action &)> Fn) {
-  if (Pool)
-    Pool->setShedClassifier(std::move(Fn));
 }
 
 void CheckerService::feedObject(ObjectState &O,

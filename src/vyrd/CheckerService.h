@@ -24,12 +24,17 @@
 /// with per-object affinity; without it they are fed inline on the
 /// driving thread.
 ///
+/// The pool is a bounded hand-off, not an admission point: it never
+/// drops or spills a record. When MaxPendingRecords is set and the pool
+/// is full, dispatch parks the driving thread until workers make room,
+/// so a lagging pool pushes back into the log, whose flusher applies the
+/// backpressure policy (and the escalation ladder's active rung) once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VYRD_CHECKERSERVICE_H
 #define VYRD_CHECKERSERVICE_H
 
-#include "vyrd/Adaptive.h"
 #include "vyrd/Backpressure.h"
 #include "vyrd/Checker.h"
 #include "vyrd/Replayer.h"
@@ -39,7 +44,6 @@
 #include "vyrd/Trace.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,9 +57,9 @@ struct VerifierReport;
 /// needs; the Verifier copies these fields over, vyrd-checkd fills them
 /// from its command line).
 struct CheckerServiceOptions {
-  /// Bound + admission policy of the pool's per-object batch queues
-  /// (the log-side half of the same config lives with the log).
-  BackpressureConfig Backpressure;
+  /// Ceiling on records dispatched to the pool and not yet fed, across
+  /// all objects; dispatch waits for room above it. 0 = unbounded.
+  size_t MaxPendingRecords = 0;
   /// Forensic bundle prefix; empty disables bundles (see
   /// VerifierConfig::ForensicPrefix for the full contract).
   std::string ForensicPrefix;
@@ -77,10 +81,6 @@ public:
   /// the telemetry hub at construction). All may stay null.
   void setTelemetry(Telemetry *T) { Telem = T; }
   void setTracer(TraceRecorder *T) { Tracer = T; }
-  /// The adaptive controller consulted by the pool's admission path for
-  /// the dynamically active policy (may stay null: the static policy
-  /// from Options.Backpressure applies).
-  void setController(AdaptiveController *C) { Ctl = C; }
 
   /// Registers one verified object (see Verifier::registerObject for the
   /// contract; \p R may be null in CM_IORefinement mode). Must precede
@@ -93,17 +93,14 @@ public:
   /// logging level on the producer side).
   CheckMode objectMode(ObjectId Id) const;
   /// Does \p A start an observer-only execution on its object? (The
-  /// BP_Shed classifier; unrouteable records answer false.) Pure const
-  /// query, callable concurrently with checking.
+  /// log's BP_Shed classifier; unrouteable records answer false.) Pure
+  /// const query, callable concurrently with checking.
   bool isObserverCall(const Action &A) const;
 
   /// Starts \p NumWorkers checker pool workers. Without this call every
   /// batch is fed inline on the routing thread (the historical
   /// CheckerThreads = 1 behavior).
   void startPool(unsigned NumWorkers);
-  /// Installs the observer classifier BP_Shed consults on the pool (no-op
-  /// without a pool; the log-side classifier is the producer's business).
-  void setShedClassifier(std::function<bool(const Action &)> Fn);
 
   /// Demuxes Batch[Begin, End) per object and dispatches/feeds each
   /// object's slice. Records whose ObjectId matches no registered object
@@ -171,7 +168,6 @@ private:
   CheckerServiceOptions Opts;
   Telemetry *Telem = nullptr;
   TraceRecorder *Tracer = nullptr;
-  AdaptiveController *Ctl = nullptr;
   std::vector<std::unique_ptr<ObjectState>> Objects;
   std::unique_ptr<CheckerPool> Pool;
   /// Demux scratch, one slot per object (sized on first routeRange).

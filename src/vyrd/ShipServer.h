@@ -65,7 +65,7 @@ struct ShipServerOptions {
   /// immediately; the producer's retry/degrade path takes over).
   unsigned MaxSessions = 16;
   /// Checker pool size per session (1 = feed inline on the session
-  /// thread).
+  /// thread). Session pools are unbounded.
   unsigned CheckerThreads = 1;
   /// Directory session reports are written into as
   /// `<dir>/<session>.report.json`; empty writes no report files (the
@@ -73,8 +73,6 @@ struct ShipServerOptions {
   std::string ReportDir;
   /// Checker tunables for every session pipeline.
   CheckerConfig Checker;
-  /// Pool admission config for sessions with CheckerThreads > 1.
-  BackpressureConfig Backpressure;
 };
 
 /// The segment receiver service.

@@ -7,6 +7,7 @@
 #include "vyrd/Telemetry.h"
 
 #include "vyrd/Instrument.h"
+#include "vyrd/Value.h"
 
 #include <algorithm>
 #include <cassert>
@@ -230,11 +231,13 @@ std::string TelemetrySnapshot::str() const {
     const ObjectTelemetry &OT = Objects[O];
     std::string Label =
         OT.Name.empty() ? "object" + std::to_string(O) : OT.Name;
+    if (Label.size() < 11)
+      Label.resize(11, ' ');
     std::snprintf(Buf, sizeof(Buf),
-                  "  object %-11s routed=%-10" PRIu64 " checked=%-10" PRIu64
+                  " routed=%-10" PRIu64 " checked=%-10" PRIu64
                   " backlog=%" PRIu64 "\n",
-                  Label.c_str(), OT.Routed, OT.Checked, OT.Backlog);
-    Out += Buf;
+                  OT.Routed, OT.Checked, OT.Backlog);
+    Out += "  object " + Label + Buf;
   }
   for (size_t H = 0; H < NumHistos; ++H) {
     const HistoSnapshot &HS = Histos[H];
@@ -300,12 +303,11 @@ std::string TelemetrySnapshot::json() const {
       const ObjectTelemetry &OT = Objects[O];
       std::string Label =
           OT.Name.empty() ? "object" + std::to_string(O) : OT.Name;
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s\"%s\":{\"routed\":%" PRIu64 ",\"checked\":%" PRIu64
-                    ",\"backlog\":%" PRIu64 "}",
-                    O ? "," : "", Label.c_str(), OT.Routed, OT.Checked,
-                    OT.Backlog);
-      Out += Buf;
+      // Object names are caller-chosen and unbounded: no fixed buffer.
+      Out += (O ? ",\"" : "\"") + jsonEscape(Label) + "\":{\"routed\":" +
+             std::to_string(OT.Routed) +
+             ",\"checked\":" + std::to_string(OT.Checked) +
+             ",\"backlog\":" + std::to_string(OT.Backlog) + "}";
     }
     Out += "}";
   }

@@ -14,37 +14,6 @@
 
 using namespace vyrd;
 
-/// Escapes a string for inclusion inside a JSON string literal.
-static std::string escapeJson(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 static std::string valueListStr(const ValueList &Args) {
   std::string Out = "(";
   for (size_t I = 0; I < Args.size(); ++I) {
@@ -79,7 +48,7 @@ void TraceRecorder::noteAction(const Action &A) {
     if (!A.Args.empty()) {
       std::snprintf(Buf, sizeof(Buf), "{\"seq\":%" PRIu64 ",\"args\":\"",
                     A.Seq);
-      E.Args = Buf + escapeJson(valueListStr(A.Args)) + "\"}";
+      E.Args = Buf + jsonEscape(valueListStr(A.Args)) + "\"}";
     }
     OpenCalls[OpenKey].push_back(A.Method);
     break;
@@ -88,7 +57,7 @@ void TraceRecorder::noteAction(const Action &A) {
     E.Name = std::string(A.Method.str());
     std::snprintf(Buf, sizeof(Buf), "{\"seq\":%" PRIu64 ",\"ret\":\"",
                   A.Seq);
-    E.Args = Buf + escapeJson(A.Ret.str()) + "\"}";
+    E.Args = Buf + jsonEscape(A.Ret.str()) + "\"}";
     auto &Open = OpenCalls[OpenKey];
     if (!Open.empty())
       Open.pop_back();
@@ -167,7 +136,7 @@ size_t TraceRecorder::eventCount() const {
 static void renderEvent(std::string &Out, const TraceEvent &E) {
   char Buf[112];
   Out += "{\"name\":\"";
-  Out += escapeJson(E.Name);
+  Out += jsonEscape(E.Name);
   std::snprintf(Buf, sizeof(Buf),
                 "\",\"ph\":\"%c\",\"pid\":%" PRIu32 ",\"tid\":%" PRIu32
                 ",\"ts\":%" PRIu64,
@@ -210,11 +179,10 @@ std::string TraceRecorder::json() const {
       PName = "vyrd pipeline"; // anonymous single-object layout
     else
       PName = "object " + std::to_string(Pid - 1);
-    std::snprintf(Buf, sizeof(Buf),
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%" PRIu32
-                  ",\"args\":{\"name\":\"%s\"}},\n",
-                  Pid, escapeJson(PName).c_str());
-    Out += Buf;
+    // Object names are caller-chosen and unbounded: no fixed buffer.
+    Out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+           std::to_string(Pid) + ",\"args\":{\"name\":\"" +
+           jsonEscape(PName) + "\"}},\n";
   }
   for (auto [Pid, Tid] : Tracks) {
     const char *Kind =

@@ -112,8 +112,10 @@ std::string VerifierConfig::validate() const {
       return "Shipping.Program must name the pipeline the remote service "
              "builds (the records alone do not identify the specs)";
     if (Snapshots)
-      return "Shipping excludes Snapshots (no checkers run in this "
-             "process, so there is no local state to serialize at cuts)";
+      return "Shipping excludes Snapshots (no checker state lives in this "
+             "process to serialize at a cut; sidecars would have to be "
+             "written by the remote session, next to a chain it does not "
+             "own)";
     if (Adaptive.Enabled)
       return "Shipping excludes Adaptive (the ship pump drains the local "
              "log at wire speed, so local lag never reflects the remote "
@@ -248,23 +250,6 @@ static std::string backpressureJson(const BackpressureStats &S) {
   return Out;
 }
 
-/// Escapes a note string for a JSON string literal (notes are generated
-/// text; only quotes/backslashes/control bytes need care).
-static std::string escapeNote(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (static_cast<unsigned char>(C) < 0x20) {
-      Out += ' ';
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
-
 std::string VerifierReport::json() const {
   std::string Out = "{";
   Out += "\"ok\":" + std::string(ok() ? "true" : "false");
@@ -278,7 +263,7 @@ std::string VerifierReport::json() const {
     if (I)
       Out += ",";
     Out += "{\"id\":" + std::to_string(O.Id);
-    Out += ",\"name\":\"" + O.Name + "\"";
+    Out += ",\"name\":\"" + jsonEscape(O.Name) + "\"";
     Out += ",\"records\":" + std::to_string(O.Records);
     Out += ",\"violations\":" + std::to_string(O.Violations.size());
     Out += ",\"stats\":" + statsJson(O.Stats);
@@ -333,7 +318,7 @@ std::string VerifierReport::json() const {
     for (size_t I = 0; I < Notes.size(); ++I) {
       if (I)
         Out += ",";
-      Out += "\"" + escapeNote(Notes[I]) + "\"";
+      Out += "\"" + jsonEscape(Notes[I]) + "\"";
     }
     Out += "]";
   }
@@ -429,13 +414,14 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
   }
   {
     CheckerServiceOptions SO;
-    SO.Backpressure = Config.Backpressure;
+    SO.MaxPendingRecords = Config.Backpressure.Enabled
+                               ? Config.Backpressure.MaxPendingRecords
+                               : 0;
     SO.ForensicPrefix = Config.ForensicPrefix;
     SO.SnapshotBase = Config.LogFilePath;
     Svc = std::make_unique<CheckerService>(std::move(SO));
     Svc->setTelemetry(Telem.get());
     Svc->setTracer(Tracer.get());
-    Svc->setController(Ctl.get());
   }
   if (!Config.Monitor.SocketPath.empty()) {
     MonSource = std::make_unique<MonitorAdapter>(*this);
@@ -637,32 +623,24 @@ void Verifier::start() {
   // producer appends (the classifier runs under the log's admission
   // lock, concurrently with checker-side isObserver calls — specs
   // answer it as a pure const query). A dynamic policy that can
-  // escalate into BP_Shed needs the classifier armed up front too.
-  const bool NeedClassifier =
-      Config.Backpressure.Enabled &&
+  // escalate into BP_Shed needs the classifier armed up front too. The
+  // log is the only stage that sheds: the checker pool just pushes back.
+  if (Config.Backpressure.Enabled &&
       (Config.Backpressure.Policy == BackpressurePolicy::BP_Shed ||
-       (Ctl && Ctl->canReachShed()));
+       (Ctl && Ctl->canReachShed())))
+    TheLog->setShedClassifier(
+        [this](const Action &A) { return Svc->isObserverCall(A); });
   if (Config.Shipping.enabled()) {
     Transport =
         std::make_unique<SocketTransport>(Config.Shipping, Telem.get());
     Shipper = std::make_unique<SegmentShipper>(*Transport,
                                                Config.LogFilePath,
                                                Telem.get());
-    if (NeedClassifier)
-      TheLog->setShedClassifier(
-          [this](const Action &A) { return Svc->isObserverCall(A); });
     VerifyThread = std::thread([this] { shipPump(); });
     return;
   }
   if (Config.CheckerThreads > 1)
     Svc->startPool(Config.CheckerThreads);
-  if (NeedClassifier) {
-    auto Classifier = [this](const Action &A) {
-      return Svc->isObserverCall(A);
-    };
-    TheLog->setShedClassifier(Classifier);
-    Svc->setShedClassifier(Classifier);
-  }
   VerifyThread = std::thread([this] { pump(); });
 }
 

@@ -93,10 +93,12 @@ struct VerifierConfig {
   std::string LogFilePath;
   /// Ignored (see LogBackend); kept so existing callers keep compiling.
   LogBackend Backend = LogBackend::LB_Auto;
-  /// Bound + admission policy for every queue between the hooks and the
-  /// checkers: the log's reader queue and the checker pool's per-object
-  /// batch queues (see Backpressure.h for the policies). Disabled by
-  /// default — the historical unbounded pipeline. SegmentBytes > 0
+  /// Bound for every queue between the hooks and the checkers (the log's
+  /// reader queue and the checker pool's per-object batch queues) plus
+  /// the admission policy the log applies when its queue is full; a full
+  /// pool parks the pump and so backs up into the log (see Backpressure.h
+  /// for the policies). Disabled by default — the historical unbounded
+  /// pipeline. SegmentBytes > 0
   /// additionally rotates the log file into a segment chain that is
   /// trimmed as checkers advance.
   BackpressureConfig Backpressure;

@@ -326,27 +326,34 @@ TEST(AdaptiveVerifierTest, EscalationFiresAndVerdictsMatchUnbounded) {
   // the watermark sits below that), policy escalates block -> shed
   // (memory log: no spill rung), observers are shed — but mutators never
   // are, so the seeded violation survives with the same verdict.
-  VerifierConfig C;
-  C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backpressure.Enabled = true;
-  C.Backpressure.MaxPendingRecords = 512;
-  C.Adaptive.Enabled = true;
-  C.Adaptive.EscalateLagHi = 256;
-  C.Adaptive.DeescalateLagLo = 8;
-  C.Adaptive.EscalateHoldUs = 200;
-  C.Adaptive.DeescalateHoldUs = 100000; // stay escalated once there
-  VerifierReport B = runThrottled(C, /*ThrottleUs=*/2, /*Execs=*/2000,
-                                  /*SeedViolation=*/true);
-  EXPECT_GE(B.Adaptive.Escalations, 1u) << B.str();
-  ASSERT_GE(B.Adaptive.Transitions.size(), 1u);
-  EXPECT_EQ(B.Adaptive.Transitions[0].str(), "block->shed");
-  ASSERT_EQ(B.Violations.size(), 1u)
-      << "the seeded violation must survive escalation: " << B.str();
-  EXPECT_EQ(B.Violations[0].Kind, A.Violations[0].Kind);
-  EXPECT_EQ(B.Violations[0].Seq, A.Violations[0].Seq);
-  EXPECT_NE(B.str().find("adaptive: policy="), std::string::npos) << B.str();
-  EXPECT_TRUE(jsonValid(B.json())) << B.json();
-  EXPECT_NE(B.json().find("\"transitions\""), std::string::npos);
+  // With a checker pool the pool's full queue parks the pump, so the lag
+  // the ladder measures at the log grows just the same.
+  for (unsigned Threads : {1u, 2u}) {
+    SCOPED_TRACE("CheckerThreads = " + std::to_string(Threads));
+    VerifierConfig C;
+    C.Checker.Mode = CheckMode::CM_IORefinement;
+    C.CheckerThreads = Threads;
+    C.Backpressure.Enabled = true;
+    C.Backpressure.MaxPendingRecords = 512;
+    C.Adaptive.Enabled = true;
+    C.Adaptive.EscalateLagHi = 256;
+    C.Adaptive.DeescalateLagLo = 8;
+    C.Adaptive.EscalateHoldUs = 200;
+    C.Adaptive.DeescalateHoldUs = 100000; // stay escalated once there
+    VerifierReport B = runThrottled(C, /*ThrottleUs=*/2, /*Execs=*/2000,
+                                    /*SeedViolation=*/true);
+    EXPECT_GE(B.Adaptive.Escalations, 1u) << B.str();
+    ASSERT_GE(B.Adaptive.Transitions.size(), 1u);
+    EXPECT_EQ(B.Adaptive.Transitions[0].str(), "block->shed");
+    ASSERT_EQ(B.Violations.size(), 1u)
+        << "the seeded violation must survive escalation: " << B.str();
+    EXPECT_EQ(B.Violations[0].Kind, A.Violations[0].Kind);
+    EXPECT_EQ(B.Violations[0].Seq, A.Violations[0].Seq);
+    EXPECT_NE(B.str().find("adaptive: policy="), std::string::npos)
+        << B.str();
+    EXPECT_TRUE(jsonValid(B.json())) << B.json();
+    EXPECT_NE(B.json().find("\"transitions\""), std::string::npos);
+  }
 }
 
 TEST(AdaptiveVerifierTest, AdaptationOffIsBehaviorallyUnchanged) {

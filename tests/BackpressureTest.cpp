@@ -244,36 +244,6 @@ TEST(MemoryLogBackpressureTest, BlockBoundsTheQueue) {
   EXPECT_GT(S.BlockedNanos, 0u);
 }
 
-TEST(MemoryLogBackpressureTest, ByteCeilingAloneTriggersThePolicy) {
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 1 << 20; // effectively unbounded record count
-  BP.MaxTailBytes = 4096;
-  BufferedLog L(bounded(BP));
-  Name M = internName("bp.bytes");
-  std::string Fat(256, 'x'); // heap payload per record
-  constexpr int N = 400;
-  std::thread Producer([&] {
-    for (int I = 0; I < N; ++I)
-      L.append(Action::call(1, M, {Value(Fat)}));
-    L.close();
-  });
-  Action A;
-  int Read = 0;
-  while (L.next(A)) {
-    ++Read;
-    if (Read % 8 == 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  Producer.join();
-  EXPECT_EQ(Read, N);
-  BackpressureStats S = L.backpressureStats();
-  EXPECT_GT(S.BlockedAppends, 0u) << "the byte ceiling must have engaged";
-  EXPECT_LE(S.TailBytesHwm, BP.MaxTailBytes + actionFootprintBytes(
-                                Action::call(1, M, {Value(Fat)})))
-      << "occupancy may overshoot by at most the admitted record";
-}
-
 TEST(MemoryLogBackpressureTest, ShedDropsWholeObserverExecutions) {
   BackpressureConfig BP;
   BP.Enabled = true;
@@ -468,28 +438,35 @@ TEST(VerifierBackpressureTest, BlockBoundsThePoolToo) {
 }
 
 TEST(VerifierBackpressureTest, ShedReportsExactCountsAndKeepsViolations) {
-  VerifierConfig C;
-  C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backpressure.Enabled = true;
-  C.Backpressure.MaxPendingRecords = 16;
-  C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-  VerifierReport R = runThrottled(C, /*ThrottleUs=*/2, /*Execs=*/3000,
-                                  /*SeedViolation=*/true);
-  ASSERT_EQ(R.Violations.size(), 1u)
-      << "the seeded mutator violation must survive shedding: " << R.str();
-  EXPECT_EQ(R.Violations[0].Kind, ViolationKind::VK_MutatorMismatch);
-  EXPECT_GT(R.Backpressure.ShedRecords, 0u);
-  EXPECT_EQ(R.Backpressure.ShedRecords % 2, 0u)
-      << "observer executions are two records; sheds come in whole "
-         "windows";
-  ASSERT_EQ(R.Notes.size(), 1u);
-  EXPECT_NE(R.Notes[0].find("degraded"), std::string::npos) << R.Notes[0];
-  EXPECT_NE(R.str().find("note: degraded"), std::string::npos);
-  EXPECT_TRUE(jsonValid(R.json())) << R.json();
-  EXPECT_NE(R.json().find("\"notes\""), std::string::npos);
-  // MethodsChecked + shed windows account for every appended execution.
-  uint64_t ShedExecs = R.Backpressure.ShedRecords / 2;
-  EXPECT_EQ(R.Stats.MethodsChecked + ShedExecs, 6001u);
+  // Inline and pooled alike: the log is the only stage that sheds; a
+  // full pool parks the pump, which backs the log up into BP_Shed.
+  for (unsigned Threads : {1u, 2u}) {
+    SCOPED_TRACE("CheckerThreads = " + std::to_string(Threads));
+    VerifierConfig C;
+    C.Checker.Mode = CheckMode::CM_IORefinement;
+    C.CheckerThreads = Threads;
+    C.Backpressure.Enabled = true;
+    C.Backpressure.MaxPendingRecords = 16;
+    C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
+    VerifierReport R = runThrottled(C, /*ThrottleUs=*/2, /*Execs=*/3000,
+                                    /*SeedViolation=*/true);
+    ASSERT_EQ(R.Violations.size(), 1u)
+        << "the seeded mutator violation must survive shedding: "
+        << R.str();
+    EXPECT_EQ(R.Violations[0].Kind, ViolationKind::VK_MutatorMismatch);
+    EXPECT_GT(R.Backpressure.ShedRecords, 0u);
+    EXPECT_EQ(R.Backpressure.ShedRecords % 2, 0u)
+        << "observer executions are two records; sheds come in whole "
+           "windows";
+    ASSERT_EQ(R.Notes.size(), 1u);
+    EXPECT_NE(R.Notes[0].find("degraded"), std::string::npos) << R.Notes[0];
+    EXPECT_NE(R.str().find("note: degraded"), std::string::npos);
+    EXPECT_TRUE(jsonValid(R.json())) << R.json();
+    EXPECT_NE(R.json().find("\"notes\""), std::string::npos);
+    // MethodsChecked + shed windows account for every appended execution.
+    uint64_t ShedExecs = R.Backpressure.ShedRecords / 2;
+    EXPECT_EQ(R.Stats.MethodsChecked + ShedExecs, 6001u);
+  }
 }
 
 TEST(VerifierBackpressureTest, SpillWithSegmentsReclaimsCheckedPrefix) {

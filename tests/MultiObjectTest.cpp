@@ -17,12 +17,19 @@
 #include "multiset/MultisetSpec.h"
 #include "vyrd/Verifier.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <thread>
+#include <unistd.h>
 
 using namespace vyrd;
 using namespace vyrd::multiset;
+using namespace vyrd::test;
 
 namespace {
 
@@ -295,6 +302,38 @@ TEST(MultiObjectTest, ReportJsonListsEveryObject) {
   EXPECT_NE(J.find("\"objects\":["), std::string::npos) << J;
   EXPECT_NE(J.find("\"name\":\"obj0\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"name\":\"obj2\""), std::string::npos) << J;
+}
+
+TEST(MultiObjectTest, ObjectNamesAreEscapedInEveryJsonEmitter) {
+  // Object names are caller-chosen: quotes and backslashes must be
+  // escaped, and a long name must not be cut off by a fixed buffer, in
+  // the report, the telemetry snapshot and the trace file alike.
+  std::string Path = std::string(::testing::TempDir()) +
+                     "vyrd-multiobject-names-" +
+                     std::to_string(::getpid()) + ".json";
+  VerifierConfig VC;
+  VC.Telemetry.Enabled = true;
+  VC.Telemetry.TraceFilePath = Path;
+  Verifier V(VC);
+  Hooks Quoted = V.registerObject("ms \"q\" \\ x", spec(), replayer());
+  Hooks Long = V.registerObject(std::string(150, 'n'), spec(), replayer());
+  V.start();
+  driveClean(Quoted, 10);
+  driveClean(Long, 10);
+  VerifierReport R = V.finish();
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_TRUE(jsonValid(R.json())) << R.json();
+  EXPECT_TRUE(jsonValid(R.Telemetry.json())) << R.Telemetry.json();
+  // The text rendering keeps the whole name and the counters after it.
+  EXPECT_NE(R.Telemetry.str().find(std::string(150, 'n') + " routed="),
+            std::string::npos)
+      << R.Telemetry.str();
+  std::ifstream In(Path, std::ios::binary);
+  std::string Trace((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+  std::remove(Path.c_str());
+  ASSERT_FALSE(Trace.empty());
+  EXPECT_TRUE(jsonValid(Trace)) << Trace.substr(0, 600);
 }
 
 //===----------------------------------------------------------------------===//
