@@ -7,7 +7,8 @@
 // Ablation studies for the design decisions DESIGN.md calls out:
 //
 //  A. Incremental view maintenance (Sec. 6.4) vs rebuilding both views
-//     from scratch at every commit — checking the same recorded trace.
+//     from scratch at every commit — a from-zero epochCheck of the same
+//     recorded log file.
 //  B. Audit period: the cost of periodically deep-comparing the
 //     incremental views against rebuilt ones.
 //  C. Log sink: records kept in memory vs serialized to a log file.
@@ -29,9 +30,9 @@ using namespace vyrd::bench;
 
 namespace {
 
-std::vector<Action> recordTrace(Program P, unsigned Threads, unsigned Ops) {
-  std::string Path =
-      "/tmp/vyrd-abl-" + std::to_string(getpid()) + ".bin";
+/// Records a view-level run of \p P into \p Path.
+void recordTrace(const std::string &Path, Program P, unsigned Threads,
+                 unsigned Ops) {
   ScenarioOptions SO;
   SO.Prog = P;
   SO.Mode = RunMode::RM_LogOnlyView;
@@ -42,27 +43,23 @@ std::vector<Action> recordTrace(Program P, unsigned Threads, unsigned Ops) {
   WO.KeyPoolSize = 48;
   WO.Seed = 31;
   runScenario(SO, WO, false);
-  std::vector<Action> Trace;
-  loadLogFile(Path, Trace);
-  std::remove(Path.c_str());
-  return Trace;
 }
 
-double checkTrace(Program P, const std::vector<Action> &Trace,
-                  bool FullRecompute, unsigned AuditPeriod) {
-  ScenarioOptions SO;
-  SO.Prog = P;
-  SO.Mode = RunMode::RM_OfflineView;
-  SO.FullViewRecompute = FullRecompute;
-  SO.AuditPeriod = AuditPeriod;
-  Scenario S = makeScenario(SO);
+/// From-zero view check of the recorded file; returns its CPU seconds and
+/// sets \p Records to the records checked.
+double checkTrace(const std::string &Path, Program P, bool FullRecompute,
+                  unsigned AuditPeriod, size_t &Records) {
+  EpochCheckOptions EO;
+  EO.Checker.FullViewRecompute = FullRecompute;
+  EO.Checker.AuditPeriod = AuditPeriod;
+  EO.UseSnapshots = false;
   Timed T = timed([&] {
-    for (const Action &A : Trace)
-      S.L->append(A);
-    VerifierReport R = S.Finish();
-    if (!R.ok())
-      std::printf("  !! unexpected violation: %s\n",
-                  R.Violations.front().str().c_str());
+    EpochReport ER = epochCheck(Path, 1, makeProgramPipeline(P, true), EO);
+    Records = ER.Report.LogRecords;
+    if (!ER.ok())
+      std::printf("  !! unexpected result: %s\n",
+                  ER.Error.empty() ? ER.Report.Violations.front().str().c_str()
+                                   : ER.Error.c_str());
   });
   return T.Cpu > 0 ? T.Cpu : T.Wall;
 }
@@ -98,16 +95,18 @@ int main(int Argc, char **Argv) {
   };
   if (Args.Quick)
     Loads = {{Program::P_MultisetVector, 4, 400}};
+  std::string Path = "/tmp/vyrd-abl-" + std::to_string(getpid()) + ".bin";
   for (auto &L : Loads) {
-    std::vector<Action> Trace = recordTrace(L.P, L.Threads, L.Ops);
-    double Inc = checkTrace(L.P, Trace, false, 0);
-    double Full = checkTrace(L.P, Trace, true, 0);
+    recordTrace(Path, L.P, L.Threads, L.Ops);
+    size_t Records = 0;
+    double Inc = checkTrace(Path, L.P, false, 0, Records);
+    double Full = checkTrace(Path, L.P, true, 0, Records);
     std::printf("%-22s %10zu %12.3f %12.3f %7.1fx\n", programName(L.P),
-                Trace.size(), Inc, Full, Inc > 0 ? Full / Inc : 0);
+                Records, Inc, Full, Inc > 0 ? Full / Inc : 0);
     jsonRow(std::string(programName(L.P)) + "-incremental", L.Threads,
-            Trace.size(), Inc);
+            Records, Inc);
     jsonRow(std::string(programName(L.P)) + "-full-rebuild", L.Threads,
-            Trace.size(), Full);
+            Records, Full);
   }
   hr();
 
@@ -115,22 +114,24 @@ int main(int Argc, char **Argv) {
   std::printf("%-14s %12s\n", "audit period", "CPU seconds");
   hr('-', 30);
   {
-    std::vector<Action> Trace =
-        recordTrace(Program::P_BLinkTree, 4, Args.Quick ? 300 : 1200);
+    recordTrace(Path, Program::P_BLinkTree, 4, Args.Quick ? 300 : 1200);
     std::vector<unsigned> Periods =
         Args.Quick ? std::vector<unsigned>{0u, 16u}
                    : std::vector<unsigned>{0u, 1024u, 256u, 64u, 16u, 4u, 1u};
     for (unsigned Period : Periods) {
-      double T = checkTrace(Program::P_BLinkTree, Trace, false, Period);
+      size_t Records = 0;
+      double T =
+          checkTrace(Path, Program::P_BLinkTree, false, Period, Records);
       if (Period)
         std::printf("%-14u %12.3f\n", Period, T);
       else
         std::printf("%-14s %12.3f\n", "off", T);
       jsonRow("audit-period-" +
                   (Period ? std::to_string(Period) : std::string("off")),
-              4, Trace.size(), T);
+              4, Records, T);
     }
   }
+  std::remove(Path.c_str());
   hr('-', 30);
 
   std::printf("\nAblation C: log sink cost (Cache workload, CPU "
@@ -158,8 +159,6 @@ int main(int Argc, char **Argv) {
       jsonRow(Cfg, WO.Threads, Records, Secs);
     };
     TimeMode("in memory", "backend-memory", "");
-    std::string Path =
-        "/tmp/vyrd-ablc-" + std::to_string(getpid()) + ".bin";
     TimeMode("log file (serialized)", "backend-file", Path);
     std::remove(Path.c_str());
   }

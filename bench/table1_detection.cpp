@@ -66,7 +66,8 @@ DetectionResult detectionRuns(Program P, RunMode Mode, unsigned Threads,
 }
 
 /// CPU-time ratio of view-mode vs I/O-mode checking of the same recorded
-/// trace (the last column of Table 1).
+/// trace (the last column of Table 1), each a from-zero epochCheck of the
+/// log file.
 double cpuRatioOnSameTrace(Program P, unsigned Threads,
                            unsigned OpsPerThread) {
   // Record one buggy trace at view-logging granularity.
@@ -84,26 +85,19 @@ double cpuRatioOnSameTrace(Program P, unsigned Threads,
     WO.Seed = 4242;
     runScenario(SO, WO, false, /*Background=*/true, /*WithChaos=*/true);
   }
-  std::vector<Action> Trace;
-  if (!loadLogFile(Path, Trace))
-    return 0;
-  std::remove(Path.c_str());
-
-  auto CheckTime = [&](RunMode Mode) {
-    ScenarioOptions SO;
-    SO.Prog = P;
-    SO.Mode = Mode;
-    SO.Buggy = true; // same spec/replayer either way
-    Scenario S = makeScenario(SO);
+  auto CheckTime = [&](CheckMode Mode) {
+    EpochCheckOptions EO;
+    EO.Checker.Mode = Mode;
+    EO.UseSnapshots = false;
+    bool ViewLevel = Mode == CheckMode::CM_ViewRefinement;
     Timed T = timed([&] {
-      for (const Action &A : Trace)
-        S.L->append(A);
-      (void)S.Finish();
+      (void)epochCheck(Path, 1, makeProgramPipeline(P, ViewLevel), EO);
     });
     return T.Cpu > 0 ? T.Cpu : T.Wall;
   };
-  double IO = CheckTime(RunMode::RM_OfflineIO);
-  double View = CheckTime(RunMode::RM_OfflineView);
+  double IO = CheckTime(CheckMode::CM_IORefinement);
+  double View = CheckTime(CheckMode::CM_ViewRefinement);
+  std::remove(Path.c_str());
   return IO > 0 ? View / IO : 0;
 }
 

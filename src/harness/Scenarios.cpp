@@ -38,8 +38,6 @@ bool vyrd::harness::modeChecks(RunMode M) {
   switch (M) {
   case RunMode::RM_OnlineIO:
   case RunMode::RM_OnlineView:
-  case RunMode::RM_OfflineIO:
-  case RunMode::RM_OfflineView:
     return true;
   case RunMode::RM_Bare:
   case RunMode::RM_LogOnlyIO:
@@ -63,10 +61,6 @@ const char *vyrd::harness::runModeName(RunMode M) {
     return "online-io";
   case RunMode::RM_OnlineView:
     return "online-view";
-  case RunMode::RM_OfflineIO:
-    return "offline-io";
-  case RunMode::RM_OfflineView:
-    return "offline-view";
   }
   return "?";
 }
@@ -207,14 +201,12 @@ BufferedLog *wireLogOnly(Scenario &S, const ScenarioOptions &O) {
 
 /// True for the modes that log (and check) at view level.
 bool viewLevel(RunMode M) {
-  return M == RunMode::RM_LogOnlyView || M == RunMode::RM_OnlineView ||
-         M == RunMode::RM_OfflineView;
+  return M == RunMode::RM_LogOnlyView || M == RunMode::RM_OnlineView;
 }
 
 /// The VerifierConfig of a checking mode: check level and checker knobs
-/// from \p O, the pipeline options passed through, and the online-only
-/// features mapped off for the offline modes. \p ShipProgram names the
-/// remote pipeline when O.Shipping.Program is empty.
+/// from \p O, the pipeline options passed through. \p ShipProgram names
+/// the remote pipeline when O.Shipping.Program is empty.
 VerifierConfig checkedConfig(const ScenarioOptions &O,
                              const char *ShipProgram) {
   bool ViewLevel = viewLevel(O.Mode);
@@ -228,19 +220,10 @@ VerifierConfig checkedConfig(const ScenarioOptions &O,
   VC.Checker.ContextRecords = O.ContextRecords;
   VC.Checker.CollectTimings = O.CollectTimings;
   VC.Telemetry = O.Telemetry;
-  VC.Online = O.Mode == RunMode::RM_OnlineIO ||
-              O.Mode == RunMode::RM_OnlineView;
-  // The pool only exists online; offline checking is a synchronous
-  // replay, so silently dropping to 1 there is the meaningful mapping
-  // (VerifierConfig::validate would reject the combination).
-  VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
+  VC.CheckerThreads = O.CheckerThreads;
   VC.LogFilePath = O.LogPath;
   VC.Backpressure = O.Backpressure;
   VC.Adaptive = O.Adaptive;
-  // Like the pool, adaptation only exists online: there is no live
-  // lag to react to in a synchronous offline replay.
-  if (!VC.Online)
-    VC.Adaptive.Enabled = false;
   VC.Snapshots = O.Snapshots;
   VC.Monitor = O.Monitor;
   VC.ForensicPrefix = O.ForensicPrefix;

@@ -12,6 +12,11 @@
 /// replayer, the verifier (per the requested run mode) and the random
 /// operation mix, so tests, benchmarks and examples share one setup path.
 ///
+/// Every checking mode is online. To check a run after the fact (the
+/// "VYRD alone" column of Table 3), record it with a LogPath and hand the
+/// file to epochCheck with makeProgramPipeline / makeCompositePipeline —
+/// what `vyrd-check` does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef VYRD_HARNESS_SCENARIOS_H
@@ -42,10 +47,6 @@ enum class RunMode : uint8_t {
   RM_OnlineIO,
   /// Online view refinement checking.
   RM_OnlineView,
-  /// Log during the run; check when finish() is called ("VYRD alone
-  /// (off-line)" column of Table 3).
-  RM_OfflineIO,
-  RM_OfflineView,
 };
 
 /// Whether a mode performs refinement checking.
@@ -108,16 +109,16 @@ struct ScenarioOptions {
   TelemetryOptions Telemetry;
   /// Accumulate the Table 3 phase timings in CheckerStats.
   bool CollectTimings = false;
-  /// Size of the verifier's checker pool in the online modes (1 = check
+  /// Size of the verifier's checker pool in the checking modes (1 = check
   /// inline on the consumption thread, the historical behavior). Ignored
-  /// in the offline/log-only modes, where the pool is not applicable.
+  /// in the log-only modes, which have no checker.
   unsigned CheckerThreads = 1;
   /// Bound + admission policy for the pipeline's queues, and segment
   /// rotation for file-backed logs (see Backpressure.h). Passed through
   /// to VerifierConfig::Backpressure in the checking modes.
   BackpressureConfig Backpressure;
   /// Self-tuning pipeline (VerifierConfig::Adaptive): runtime escalation
-  /// of the admission policy (see Adaptive.h). Online checking modes only.
+  /// of the admission policy (see Adaptive.h). Checking modes only.
   AdaptiveConfig Adaptive;
   /// Write snapshot sidecars at segment cuts (VerifierConfig::Snapshots;
   /// requires a file-backed log with Backpressure.SegmentBytes > 0). The

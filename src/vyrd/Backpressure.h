@@ -16,8 +16,8 @@
 /// policy below.
 ///
 ///  * BP_Block       — bounded blocking append: the producer waits for the
-///                     reader to make room. Safe default; requires a
-///                     concurrent consumer (Online mode).
+///                     reader to make room. Safe default; the Verifier's
+///                     pump is always the concurrent consumer.
 ///  * BP_SpillToDisk — overflow is demoted to the log file: records keep
 ///                     flowing to disk, the in-memory queue stops growing,
 ///                     and the reader re-reads the spilled region through

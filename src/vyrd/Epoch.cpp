@@ -171,11 +171,17 @@ EpochReport vyrd::epochCheck(const std::string &LogPath, size_t NumObjects,
   std::vector<EpochSlice> Epochs;
   const ChainSegment &Front = Segs.front();
   bool FrontComplete = Front.Index <= 1; // plain file (0) or segment 1
-  if (Opts.UseSnapshots && Front.HasSnapshot &&
-      hasAllBlobs(Front.Snap, NumObjects)) {
+  bool FrontSeeds = Front.HasSnapshot && hasAllBlobs(Front.Snap, NumObjects);
+  if (Opts.UseSnapshots && FrontSeeds) {
     Epochs.push_back({0, &Front.Snap, Front.Snap.Watermark, UINT64_MAX});
   } else if (FrontComplete) {
     Epochs.push_back({0, nullptr, 0, UINT64_MAX});
+  } else if (FrontSeeds) {
+    ER.Error = "records before segment " + std::to_string(Front.Index) +
+               " were reclaimed, so a from-zero check cannot start; the "
+               "front segment's snapshot sidecar can seed it (UseSnapshots; "
+               "vyrd-check --resume or --epochs N)";
+    return ER;
   } else {
     ER.Error = "records before segment " + std::to_string(Front.Index) +
                " were reclaimed and no usable snapshot sidecar covers the "
@@ -286,9 +292,14 @@ EpochReport vyrd::epochCheck(const std::string &LogPath, size_t NumObjects,
         OR.Name = Rs[FirstBad].Name;
         OR.Violations.push_back(V);
       } else {
-        SliceResult Serial = runSlice(static_cast<ObjectId>(O), Re,
-                                      /*Final=*/true, Segs, Factory, Opts,
-                                      nullptr, Loads);
+        // The final epoch already ran from its baseline to the end of the
+        // chain (a from-zero check is one such epoch): that run is the
+        // serial re-check, so it is not repeated.
+        SliceResult Serial =
+            From + 1 == NumEpochs
+                ? std::move(Rs[From])
+                : runSlice(static_cast<ObjectId>(O), Re, /*Final=*/true,
+                           Segs, Factory, Opts, nullptr, Loads);
         SeqHwm = std::max(SeqHwm, Serial.SeqHwm);
         OR.Name = Serial.Name;
         OR.Stats = Serial.Stats;

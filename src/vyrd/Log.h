@@ -7,10 +7,11 @@
 /// \file
 /// The log decouples the instrumented program from refinement checking
 /// (Sec. 4.2): implementation threads append records as they run; the
-/// verification thread reads them, concurrently (online) or afterwards
-/// (offline). The log itself is BufferedLog (BufferedLog.h): per-thread
-/// sharded rings merged off the hot path into one global order, written
-/// to a file whose tail is kept in memory, as in the paper. This header
+/// verification thread reads them concurrently (online), or epochCheck
+/// reads the log file afterwards (post-mortem). The log itself is
+/// BufferedLog (BufferedLog.h): per-thread sharded rings merged off the
+/// hot path into one global order, written to a file whose tail is kept
+/// in memory, as in the paper. This header
 /// holds the pieces shared by producers and readers of that log: the
 /// LogWriter producer interface and the streaming reader over log files.
 ///

@@ -38,20 +38,8 @@ std::string VerifierConfig::validate() const {
         LogFilePath.empty())
       return "Backpressure.Policy = BP_SpillToDisk requires a file-backed "
              "log (set LogFilePath)";
-    if (!Online && Backpressure.Policy == BackpressurePolicy::BP_Block)
-      return "Backpressure.Policy = BP_Block requires Online = true "
-             "(offline runs have no concurrent reader to make room; a "
-             "blocked producer would deadlock)";
-    if (!Online && Backpressure.Policy == BackpressurePolicy::BP_Shed)
-      return "Backpressure.Policy = BP_Shed requires Online = true "
-             "(offline runs buffer the whole log anyway, so shedding "
-             "would lose coverage for no memory benefit)";
   }
   if (Adaptive.Enabled) {
-    if (!Online)
-      return "Adaptive.Enabled requires Online = true (the controller "
-             "runs on the consumption thread; an offline pass has no "
-             "live lag to react to)";
     if (!Backpressure.Enabled)
       return "Adaptive.Enabled requires Backpressure.Enabled (there is no "
              "admission policy to escalate without a bounded pipeline)";
@@ -70,9 +58,6 @@ std::string VerifierConfig::validate() const {
   }
   if (CheckerThreads == 0)
     return "CheckerThreads must be >= 1";
-  if (CheckerThreads > 1 && !Online)
-    return "CheckerThreads > 1 requires Online = true (the offline pass "
-           "is a synchronous replay on the caller's thread)";
   if (Checker.MaxViolations == 0)
     return "Checker.MaxViolations must be >= 1 (0 would suppress every "
            "report)";
@@ -98,9 +83,6 @@ std::string VerifierConfig::validate() const {
     std::string Err;
     if (!parseShipEndpoint(Shipping.Endpoint, Ep, Err))
       return "Shipping.Endpoint: " + Err;
-    if (!Online)
-      return "Shipping requires Online = true (the ship pump is the "
-             "consumption thread; an offline run has nothing to stream)";
     if (LogFilePath.empty())
       return "Shipping requires a file-backed log (set LogFilePath; closed "
              "segment files are the shipping unit)";
@@ -378,7 +360,7 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     TheLog = std::make_unique<BufferedLog>(std::move(BO));
   }
   if (!TheLog->valid()) {
-    // The durable log is the evidence snapshots, shipping and offline
+    // The durable log is the evidence snapshots, shipping and post-mortem
     // re-checks rely on; running without it would lose them silently.
     std::fprintf(stderr, "vyrd: cannot open log file %s\n",
                  Config.LogFilePath.c_str());
@@ -616,8 +598,6 @@ void Verifier::start() {
   assert(Svc->objectCount() &&
          "start with no registered object (registerObject first)");
   Started = true;
-  if (!Config.Online)
-    return;
   // BP_Shed needs to know which calls start observer-only executions;
   // the registered specs are the authority. Installed before any
   // producer appends (the classifier runs under the log's admission
@@ -694,10 +674,7 @@ VerifierReport Verifier::finish() {
   assert(!Done && "finish called twice");
   Done = true;
   TheLog->close();
-  if (Config.Online)
-    VerifyThread.join();
-  else
-    pump();
+  VerifyThread.join();
 
   VerifierReport R;
   bool LocalFallbackRan = false;

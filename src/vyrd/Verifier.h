@@ -25,10 +25,10 @@
 /// log segments through a SocketTransport and reclaims them as the remote
 /// checker acks its watermark (docs/SHIPPING.md).
 ///
-/// The check runs *online* — a dedicated consumption thread drains the log
-/// concurrently with the program, as the VYRD tool does — or *offline*,
-/// replaying the completed log when finish() is called (the "VYRD alone"
-/// column of Table 3).
+/// The check runs *online*: a dedicated consumption thread drains the log
+/// concurrently with the program, as the VYRD tool does. Checking a
+/// recorded log after the run (the "VYRD alone" column of Table 3) is
+/// epochCheck's job (Epoch.h): it reads the log file the run wrote.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,9 +84,6 @@ struct VerifierConfig {
   /// that does not pass its own (and to the single object the legacy
   /// spec+replayer constructor registers).
   CheckerConfig Checker;
-  /// Run the checkers concurrently with the program. When false, records
-  /// are buffered and checked when finish() is called.
-  bool Online = true;
   /// When non-empty, the log is also written to this file (segmented
   /// with Backpressure.SegmentBytes > 0); required by spill, snapshots
   /// and shipping. A path that cannot be opened aborts construction.
@@ -105,8 +102,7 @@ struct VerifierConfig {
   /// Self-tuning pipeline (docs/ARCHITECTURE.md, "Self-tuning pipeline"):
   /// when Adaptive.Enabled, a controller on the pump thread walks the
   /// active admission policy up and down the Block → Spill → Shed ladder
-  /// under sustained checker lag. Requires Online and
-  /// Backpressure.Enabled. Off by default: the policy is then the static
+  /// under sustained checker lag. Requires Backpressure.Enabled. Off by default: the policy is then the static
   /// Backpressure.Policy.
   AdaptiveConfig Adaptive;
   /// Write spec-state snapshot sidecars at segment cuts (docs/SNAPSHOTS.md):
@@ -125,9 +121,8 @@ struct VerifierConfig {
   /// single-threaded behavior. N > 1 starts N verification workers that
   /// pick up per-object record batches; one object is owned by at most
   /// one worker at a time, so each object's records are still checked in
-  /// log order. Requires Online (the offline pass is a synchronous replay
-  /// on the caller's thread). Ignored when Shipping is enabled (the
-  /// remote service sizes its own pool).
+  /// log order. Ignored when Shipping is enabled (the remote service
+  /// sizes its own pool).
   unsigned CheckerThreads = 1;
   /// Metrics, lag watchdog and tracing.
   TelemetryOptions Telemetry;
@@ -152,8 +147,8 @@ struct VerifierConfig {
   /// segment to the `vyrd-checkd` service at the endpoint, which resolves
   /// Shipping.Program into the per-object pipelines, checks the records
   /// and acks its watermark; acked segments are reclaimed here, so
-  /// producer-side memory stays bounded end-to-end. Requires Online and
-  /// a file-backed segmented log (Backpressure.SegmentBytes > 0); the
+  /// producer-side memory stays bounded end-to-end. Requires a
+  /// file-backed segmented log (Backpressure.SegmentBytes > 0); the
   /// verdict lives in the service's session report. If the fleet stays
   /// unreachable past the retry budget, Shipping.Degrade picks between
   /// re-checking the surviving chain locally (SD_LocalCheck, the default)
@@ -161,8 +156,8 @@ struct VerifierConfig {
   ShipperOptions Shipping;
 
   /// Checks the configuration for nonsensical combinations (spill without
-  /// a log file, a zero-sized or offline multi-threaded checker pool,
-  /// watchdog without telemetry, ...). Returns the empty string when the
+  /// a log file, a zero-sized checker pool, watchdog without telemetry,
+  /// ...). Returns the empty string when the
   /// configuration is usable, otherwise a one-line description of the
   /// first problem. The Verifier constructor calls this and refuses
   /// (abort with the message on stderr) rather than silently falling back.
@@ -297,14 +292,13 @@ public:
   /// Number of registered objects.
   size_t objectCount() const { return Svc->objectCount(); }
 
-  /// Starts the consumption thread and (CheckerThreads > 1) the checker
-  /// pool (online mode; no-op offline). At least one object must have
-  /// been registered.
+  /// Starts the consumption thread (the pump, or the ship pump when
+  /// Shipping is set) and, with CheckerThreads > 1, the checker pool. At
+  /// least one object must have been registered.
   void start();
 
   /// Closes the log, completes checking (joining the consumption thread
-  /// and pool, or running the offline pass), and returns the aggregated
-  /// per-object report.
+  /// and pool), and returns the aggregated per-object report.
   VerifierReport finish();
 
   /// Thread-safe peek: has any object's checker found a violation yet?

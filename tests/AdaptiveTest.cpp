@@ -74,15 +74,6 @@ TEST(AdaptiveConfigTest, ValidateRejectsBadKnobs) {
       << C.validate();
   C.Adaptive.DeescalateLagLo = C.Adaptive.EscalateLagHi - 1;
   EXPECT_EQ(C.validate(), "") << "a one-record dead band is enough";
-
-  // Offline spill is the one bounded policy an offline run accepts, so
-  // it is the one that reaches the ladder's own Online rule.
-  C.Online = false;
-  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
-  C.LogFilePath = "/tmp/x.bin";
-  EXPECT_NE(C.validate().find("Adaptive.Enabled requires Online"),
-            std::string::npos)
-      << "no live lag to react to offline: " << C.validate();
 }
 
 TEST(AdaptiveConfigTest, ValidateRejectsEscalationWithoutBackpressure) {

@@ -191,23 +191,6 @@ TEST(BackpressureConfigTest, ValidateRejectsSpillWithoutFileBackedLog) {
   EXPECT_EQ(C.validate(), "");
 }
 
-TEST(BackpressureConfigTest, ValidateRejectsOfflineBlockAndShed) {
-  VerifierConfig C;
-  C.Online = false;
-  C.Backpressure.Enabled = true;
-  C.Backpressure.Policy = BackpressurePolicy::BP_Block;
-  EXPECT_NE(C.validate().find("BP_Block requires Online"), std::string::npos)
-      << "offline has no concurrent reader: a blocked producer deadlocks: "
-      << C.validate();
-  C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-  EXPECT_NE(C.validate().find("BP_Shed requires Online"), std::string::npos)
-      << C.validate();
-  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
-  C.LogFilePath = "/tmp/x.bin";
-  EXPECT_EQ(C.validate(), "")
-      << "offline spill is fine: producers never block on it";
-}
-
 //===----------------------------------------------------------------------===//
 // Log-level policy behavior
 //

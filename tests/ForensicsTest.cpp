@@ -214,7 +214,6 @@ TEST(ForensicsTest, ContextAndRecorderShareTheRing) {
 TEST(ForensicsTest, VerifierWritesBundleFileOnViolation) {
   std::string Prefix = tempPrefix("e2e");
   VerifierConfig VC;
-  VC.Online = true;
   VC.ForensicPrefix = Prefix; // auto-arms the flight recorder
   auto V = std::make_unique<Verifier>(
       std::make_unique<multiset::MultisetSpec>(),
@@ -259,7 +258,6 @@ TEST(ForensicsTest, VerifierWritesBundleFileOnViolation) {
 TEST(ForensicsTest, NoViolationWritesNoFiles) {
   std::string Prefix = tempPrefix("clean");
   VerifierConfig VC;
-  VC.Online = true;
   VC.ForensicPrefix = Prefix;
   auto V = std::make_unique<Verifier>(
       std::make_unique<multiset::MultisetSpec>(),

@@ -171,8 +171,8 @@ TEST(ScenarioTest, IOLevelLogsFewerRecordsThanViewLevel) {
 TEST(ScenarioTest, AllProgramsBuildInAllModes) {
   for (Program P : allPrograms()) {
     for (RunMode M :
-         {RunMode::RM_Bare, RunMode::RM_LogOnlyIO, RunMode::RM_OnlineIO,
-          RunMode::RM_OnlineView, RunMode::RM_OfflineView}) {
+         {RunMode::RM_Bare, RunMode::RM_LogOnlyIO, RunMode::RM_LogOnlyView,
+          RunMode::RM_OnlineIO, RunMode::RM_OnlineView}) {
       ScenarioOptions SO;
       SO.Prog = P;
       SO.Mode = M;

@@ -305,7 +305,6 @@ TEST(MonitorTest, ConfigValidation) {
 
 TEST(MonitorTest, MultiClientAttachDetachMidRun) {
   VerifierConfig VC;
-  VC.Online = true;
   VC.CheckerThreads = 2;
   VC.Telemetry.Enabled = true;
   VC.Monitor.SocketPath = tempSocketPath("e2e");
@@ -368,7 +367,6 @@ TEST(MonitorTest, MultiClientAttachDetachMidRun) {
 
 TEST(MonitorTest, ListReflectsVerifierObjects) {
   VerifierConfig VC;
-  VC.Online = true;
   VC.Telemetry.Enabled = true;
   VC.Monitor.SocketPath = tempSocketPath("list");
   auto V = std::make_unique<Verifier>(VC);

@@ -74,7 +74,6 @@ const ObjectReport *findObject(const VerifierReport &R,
 
 TEST(MultiObjectTest, ThreeObjectsOneVerifierCleanRun) {
   VerifierConfig VC;
-  VC.Online = true;
   Verifier V(VC);
   std::vector<Hooks> H = registerN(V, 3);
   ASSERT_EQ(V.objectCount(), 3u);
@@ -209,7 +208,6 @@ TEST(MultiObjectTest, CheckerPoolCleanRunUnderContention) {
   // spurious violations) and shut down cleanly. Also the TSan target for
   // the pool's hand-off protocol.
   VerifierConfig VC;
-  VC.Online = true;
   VC.CheckerThreads = 4;
   Verifier V(VC);
   std::vector<Hooks> H = registerN(V, 4);
@@ -245,7 +243,6 @@ TEST(MultiObjectTest, PoolVerdictMatchesInlineVerdict) {
   // whether checked inline or on a pool.
   auto run = [](unsigned Threads) {
     VerifierConfig VC;
-    VC.Online = true;
     VC.CheckerThreads = Threads;
     VC.Checker.Mode = CheckMode::CM_IORefinement;
     Verifier V(VC);
@@ -348,15 +345,6 @@ TEST(VerifierConfigValidate, RejectsZeroCheckerThreads) {
   VerifierConfig VC;
   VC.CheckerThreads = 0;
   EXPECT_NE(VC.validate().find("CheckerThreads"), std::string::npos);
-}
-
-TEST(VerifierConfigValidate, RejectsOfflinePool) {
-  VerifierConfig VC;
-  VC.Online = false;
-  VC.CheckerThreads = 2;
-  EXPECT_NE(VC.validate().find("Online"), std::string::npos);
-  VC.Online = true;
-  EXPECT_EQ(VC.validate(), "");
 }
 
 TEST(VerifierConfigValidate, RejectsZeroMaxViolations) {

@@ -193,11 +193,14 @@ TEST(MultisetReplayerTest, IncrementalMatchesRebuild) {
 
 namespace {
 
-/// Runs the multiset scenario and returns the report.
+/// Runs the multiset scenario and returns the report; \p LogPath, when
+/// set, receives the log.
 VerifierReport runMultiset(bool Buggy, RunMode Mode, unsigned Threads,
                            unsigned Ops, uint64_t Seed,
-                           bool StopAtFirst = false) {
+                           bool StopAtFirst = false,
+                           const std::string &LogPath = "") {
   ScenarioOptions SO;
+  SO.LogPath = LogPath;
   SO.Prog = Program::P_MultisetVector;
   SO.Mode = Mode;
   SO.Buggy = Buggy;
@@ -237,8 +240,22 @@ TEST(MultisetVerifiedTest, CorrectConcurrentRunIsCleanIOMode) {
 }
 
 TEST(MultisetVerifiedTest, CorrectRunCleanOffline) {
-  VerifierReport R = runMultiset(false, RunMode::RM_OfflineView, 4, 200, 7);
-  EXPECT_TRUE(R.ok()) << R.str();
+  // Record without checking, then check the file after the run from
+  // record 0 (the post-mortem mode).
+  std::string Path = std::string(::testing::TempDir()) +
+                     "vyrd-multiset-offline-" + std::to_string(::getpid()) +
+                     ".bin";
+  VerifierReport Rec =
+      runMultiset(false, RunMode::RM_LogOnlyView, 4, 200, 7, false, Path);
+  EpochCheckOptions EO;
+  EO.Checker.AuditPeriod = 256;
+  EO.UseSnapshots = false;
+  EpochReport ER = epochCheck(
+      Path, 1, makeProgramPipeline(Program::P_MultisetVector, true), EO);
+  std::remove(Path.c_str());
+  EXPECT_TRUE(ER.ok()) << ER.Error << ER.Report.str();
+  EXPECT_EQ(ER.Report.LogRecords, Rec.LogRecords);
+  EXPECT_GT(ER.Report.Stats.MethodsChecked, 0u);
 }
 
 TEST(MultisetVerifiedTest, BuggyFindSlotCaughtByViewRefinement) {

@@ -395,10 +395,6 @@ TEST(ShippingTest, ConfigValidationGatesShipping) {
   EXPECT_TRUE(VC.validate().empty()) << VC.validate();
 
   VerifierConfig Good = VC;
-  VC.Online = false;
-  EXPECT_NE(VC.validate().find("Shipping requires Online"), std::string::npos)
-      << "shipping is an online pipeline: " << VC.validate();
-  VC = Good;
   VC.Snapshots = true;
   EXPECT_NE(VC.validate().find("Shipping excludes Snapshots"),
             std::string::npos)

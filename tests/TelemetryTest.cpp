@@ -307,7 +307,6 @@ VerifierReport runInstrumentedMultiset(VerifierConfig VC, unsigned Ops) {
 
 TEST(TelemetryTest, PipelineCountersBalance) {
   VerifierConfig VC;
-  VC.Online = true;
   VC.Telemetry.Enabled = true;
   VerifierReport R = runInstrumentedMultiset(VC, 200);
   ASSERT_TRUE(R.ok()) << R.str();
@@ -335,7 +334,6 @@ TEST(TelemetryTest, PipelineCountersBalance) {
 
 TEST(TelemetryTest, BufferedBackendFeedsFlusherMetrics) {
   VerifierConfig VC;
-  VC.Online = true;
   VC.Telemetry.Enabled = true;
   VerifierReport R = runInstrumentedMultiset(VC, 200);
   ASSERT_TRUE(R.ok()) << R.str();
@@ -351,7 +349,6 @@ TEST(TelemetryTest, BufferedBackendFeedsFlusherMetrics) {
 
 TEST(TelemetryTest, DisabledTelemetryLeavesReportEmpty) {
   VerifierConfig VC;
-  VC.Online = true;
   VerifierReport R = runInstrumentedMultiset(VC, 50);
   ASSERT_TRUE(R.ok());
   EXPECT_FALSE(R.TelemetryEnabled);
@@ -361,7 +358,6 @@ TEST(TelemetryTest, DisabledTelemetryLeavesReportEmpty) {
 
 TEST(TelemetryTest, VerifierExposesLiveLag) {
   VerifierConfig VC;
-  VC.Online = true;
   VC.Telemetry.Enabled = true;
   VC.Telemetry.SampleIntervalUs = 500;
   Verifier V(std::make_unique<multiset::MultisetSpec>(),

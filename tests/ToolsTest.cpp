@@ -140,6 +140,12 @@ TEST(ToolsTest, CheckBuggyLogExitsOneWithViolations) {
   EXPECT_EQ(RC, 1) << Out;
   EXPECT_NE(Out.find("violation"), std::string::npos) << Out;
   EXPECT_NE(Out.find("context of"), std::string::npos) << Out;
+  // The epoch path reaches the same verdict and prints the same context.
+  RC = runTool(std::string(VYRD_CHECK_PATH) + " " + Path +
+                   " --program multiset --context 8 --epochs 2",
+               Out);
+  EXPECT_EQ(RC, 1) << Out;
+  EXPECT_NE(Out.find("context of"), std::string::npos) << Out;
   std::remove(Path.c_str());
 }
 
@@ -161,6 +167,17 @@ TEST(ToolsTest, CheckRejectsBadUsage) {
                     Out),
             2);
   EXPECT_NE(Out.find("usage"), std::string::npos) << Out;
+  // Negative or non-numeric counts are refused, not wrapped to huge
+  // unsigned values.
+  for (const char *Flag : {"--context -1", "--audit -1", "--context 8x",
+                           "--epochs -2", "--max-violations -1"}) {
+    EXPECT_EQ(runTool(std::string(VYRD_CHECK_PATH) +
+                          " /tmp/x.bin --program multiset " + Flag,
+                      Out),
+              2)
+        << Flag;
+    EXPECT_NE(Out.find("usage"), std::string::npos) << Flag << ": " << Out;
+  }
 }
 
 TEST(ToolsTest, LogdumpStatsAsJson) {
@@ -357,10 +374,18 @@ TEST(ToolsTest, CheckResumesFromReclaimedChain) {
   std::string Base = tempLog("resume");
   removeSnapshotChain(Base);
   recordSnapshotChain(Base, /*Reclaim=*/true);
+  // A from-zero check cannot start on a reclaimed chain: it refuses
+  // instead of reporting the missing prefix as violations.
   std::string Out;
   int RC = runTool(std::string(VYRD_CHECK_PATH) + " " + Base +
-                       " --program multiset --resume",
+                       " --program multiset",
                    Out);
+  EXPECT_EQ(RC, 2) << Out;
+  EXPECT_EQ(Out.find("violation"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("--resume"), std::string::npos) << Out;
+  RC = runTool(std::string(VYRD_CHECK_PATH) + " " + Base +
+                   " --program multiset --resume",
+               Out);
   EXPECT_EQ(RC, 0) << Out;
   EXPECT_NE(Out.find("no refinement violations"), std::string::npos) << Out;
   EXPECT_NE(Out.find("epochs: 1"), std::string::npos) << Out;
@@ -382,6 +407,36 @@ TEST(ToolsTest, CheckEpochsSplitsAtSidecars) {
   // chain splits into at least two epochs.
   EXPECT_EQ(Out.find("epochs: 0,"), std::string::npos) << Out;
   EXPECT_EQ(Out.find("epochs: 1,"), std::string::npos) << Out;
+  removeSnapshotChain(Base);
+}
+
+TEST(ToolsTest, CheckCompositeChainFromZero) {
+  // A four-object chain recorded in-process checks from record 0.
+  std::string Base = tempLog("composite");
+  removeSnapshotChain(Base);
+  {
+    ScenarioOptions SO;
+    SO.Mode = RunMode::RM_OnlineView;
+    SO.LogPath = Base;
+    SO.Backpressure.SegmentBytes = 8 * 1024;
+    SO.Backpressure.ReclaimSegments = false; // keep the whole chain
+    Scenario S = makeCompositeScenario(SO);
+    WorkloadOptions WO;
+    WO.Threads = 4;
+    WO.OpsPerThread = 200;
+    WO.Seed = 5;
+    runWorkload(WO, S.Op);
+    VerifierReport R = S.Finish();
+    ASSERT_TRUE(R.ok()) << R.str();
+  }
+  std::string Out;
+  int RC = runTool(std::string(VYRD_CHECK_PATH) + " " + Base +
+                       " --program composite",
+                   Out);
+  EXPECT_EQ(RC, 0) << Out;
+  EXPECT_NE(Out.find("no refinement violations"), std::string::npos) << Out;
+  for (const char *Obj : {"multiset:", "cache:", "blinktree:", "queue:"})
+    EXPECT_NE(Out.find(Obj), std::string::npos) << Obj << ": " << Out;
   removeSnapshotChain(Base);
 }
 

@@ -169,7 +169,6 @@ TEST(TraceTest, VerifierWritesTraceFile) {
                      "vyrd-tracetest-verifier-" +
                      std::to_string(::getpid()) + ".json";
   VerifierConfig VC;
-  VC.Online = true;
   VC.Telemetry.TraceFilePath = Path;
   Verifier V(std::make_unique<multiset::MultisetSpec>(),
              KeyValueReplayer::guardedBag("A"), VC);

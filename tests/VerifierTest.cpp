@@ -1,4 +1,4 @@
-//===- VerifierTest.cpp - Tests for the online/offline driver -------------===//
+//===- VerifierTest.cpp - Tests for the online Verifier -------------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -46,7 +46,6 @@ void driveMultiset(Verifier &V, size_t Capacity, unsigned Ops) {
 
 TEST(VerifierTest, OnlineCleanRun) {
   VerifierConfig VC;
-  VC.Online = true;
   auto V = makeVerifier(VC);
   V->start();
   driveMultiset(*V, 16, 100);
@@ -55,17 +54,6 @@ TEST(VerifierTest, OnlineCleanRun) {
   EXPECT_EQ(R.Stats.MethodsChecked, R.Stats.CommitsProcessed +
                                         R.Stats.ObserversChecked);
   EXPECT_GT(R.LogRecords, 0u);
-}
-
-TEST(VerifierTest, OfflineCleanRun) {
-  VerifierConfig VC;
-  VC.Online = false;
-  auto V = makeVerifier(VC);
-  V->start();
-  driveMultiset(*V, 16, 100);
-  EXPECT_FALSE(V->violationSeen());
-  VerifierReport R = V->finish();
-  EXPECT_TRUE(R.ok()) << R.str();
 }
 
 TEST(VerifierTest, IOModeNeedsNoReplayer) {
@@ -168,16 +156,6 @@ TEST(VerifierTest, BufferedBackendWithFileProducesReloadableLog) {
   for (size_t I = 0; I < Loaded.size(); ++I)
     EXPECT_EQ(Loaded[I].Seq, I);
   std::remove(Path.c_str());
-}
-
-TEST(VerifierTest, BufferedBackendOfflineRun) {
-  VerifierConfig VC;
-  VC.Online = false;
-  auto V = makeVerifier(VC);
-  V->start();
-  driveMultiset(*V, 16, 100);
-  VerifierReport R = V->finish();
-  EXPECT_TRUE(R.ok()) << R.str();
 }
 
 TEST(VerifierTest, ViolationSeenFlagsOnline) {

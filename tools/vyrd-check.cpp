@@ -4,9 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Replays a recorded log through the refinement checker against one of
-// the bundled program specifications (post-mortem verification, the
-// "VYRD alone" mode of Table 3).
+// Checks a recorded log (a plain file or a segment chain) against one of
+// the bundled program specifications after the run: post-mortem
+// verification, the "VYRD alone" mode of Table 3. Every mode is one
+// epochCheck call over the file's original records.
 //
 //   vyrd-check <log-file> --program <name> [--mode io|view]
 //              [--max-violations N] [--audit N] [--quiescent]
@@ -16,20 +17,20 @@
 //              [--epochs N]    (split each object's stream at snapshot
 //                               sidecars and check the epochs on N threads)
 //
-// Program names: multiset, bst, vector, stringbuffer, blinktree, cache,
-// scanfs, hashtable, queue — plus "composite" (the four-object harness
-// scenario) for --resume/--epochs. Exit code: 0 clean, 1 violations
-// found, 2 usage/IO error.
+// Without --resume or --epochs the check starts from record 0 and ignores
+// sidecars, so it needs the whole chain. Program names: multiset, bst,
+// vector, stringbuffer, blinktree, cache, scanfs, hashtable, queue — plus
+// "composite" (the four-object harness scenario). Exit code: 0 clean, 1
+// violations found, 2 usage/IO error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "harness/Scenarios.h"
 #include "vyrd/Epoch.h"
-#include "vyrd/Log.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace vyrd;
@@ -47,6 +48,16 @@ int usage(const char *Argv0) {
       "          [--resume] [--epochs N]\n",
       Argv0);
   return 2;
+}
+
+/// Parses a non-negative decimal count; rejects signs, junk and overflow.
+bool parseCount(const char *S, long &Out) {
+  if (*S < '0' || *S > '9')
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  Out = std::strtol(S, &End, 10);
+  return *End == '\0' && errno == 0;
 }
 
 bool parseProgram(const std::string &S, Program &Out) {
@@ -81,101 +92,68 @@ int main(int Argc, char **Argv) {
   bool Quiescent = false, Resume = false;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    bool Ok = true;
     if (Arg == "--program" && I + 1 < Argc) {
       ProgName = Argv[++I];
     } else if (Arg == "--mode" && I + 1 < Argc) {
       Mode = Argv[++I];
     } else if (Arg == "--max-violations" && I + 1 < Argc) {
-      MaxViolations = std::atol(Argv[++I]);
+      Ok = parseCount(Argv[++I], MaxViolations);
     } else if (Arg == "--audit" && I + 1 < Argc) {
-      Audit = std::atol(Argv[++I]);
+      Ok = parseCount(Argv[++I], Audit);
     } else if (Arg == "--context" && I + 1 < Argc) {
-      Context = std::atol(Argv[++I]);
+      Ok = parseCount(Argv[++I], Context);
     } else if (Arg == "--quiescent") {
       Quiescent = true;
     } else if (Arg == "--resume") {
       Resume = true;
     } else if (Arg == "--epochs" && I + 1 < Argc) {
-      Epochs = std::atol(Argv[++I]);
+      Ok = parseCount(Argv[++I], Epochs);
     } else if (Arg[0] == '-') {
-      return usage(Argv[0]);
+      Ok = false;
     } else {
       Path = Arg;
     }
+    if (!Ok)
+      return usage(Argv[0]);
   }
   bool Composite = ProgName == "composite";
   Program Prog = Program::P_MultisetVector;
   if (Path.empty() || (!Composite && !parseProgram(ProgName, Prog)) ||
-      (Mode != "io" && Mode != "view") || Epochs < 0 ||
-      (Resume && Epochs > 0))
+      (Mode != "io" && Mode != "view") || (Resume && Epochs > 0))
     return usage(Argv[0]);
 
-  // The snapshot paths: check the chain through epochCheck instead of a
-  // scenario replay. --resume restores from the front sidecar only (the
-  // cold restart); --epochs N additionally splits at every sidecar and
-  // checks the (object, epoch) matrix on N threads.
-  if (Resume || Epochs > 0) {
-    bool ViewLevel = Mode == "view";
-    EpochCheckOptions EO;
-    EO.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
-                                : CheckMode::CM_IORefinement;
-    EO.Checker.AuditPeriod = static_cast<unsigned>(Audit);
-    EO.Checker.QuiescentOnly = Quiescent;
-    EO.Checker.ContextRecords = static_cast<unsigned>(Context);
-    EO.Threads = Resume ? 1 : static_cast<unsigned>(Epochs);
-    EO.ResumeOnly = Resume;
-    size_t NumObjects = Composite ? 4 : 1;
-    PipelineFactory Factory = Composite
-                                  ? makeCompositePipeline(ViewLevel)
-                                  : makeProgramPipeline(Prog, ViewLevel);
-    EpochReport ER = epochCheck(Path, NumObjects, Factory, EO);
-    if (!ER.Error.empty()) {
-      std::fprintf(stderr, "error: %s\n", ER.Error.c_str());
-      return 2;
-    }
-    if (MaxViolations >= 0 &&
-        ER.Report.Violations.size() > static_cast<size_t>(MaxViolations))
-      ER.Report.Violations.resize(static_cast<size_t>(MaxViolations));
-    std::printf("%s", ER.Report.str().c_str());
-    std::printf("epochs: %llu, tasks: %llu, serial rechecks: %llu\n",
-                static_cast<unsigned long long>(ER.Epochs),
-                static_cast<unsigned long long>(ER.Tasks),
-                static_cast<unsigned long long>(ER.SerialRechecks));
-    return ER.Report.ok() ? 0 : 1;
-  }
-  if (Composite) {
-    std::fprintf(stderr,
-                 "error: --program composite requires --resume or "
-                 "--epochs N (the plain replay path is single-object)\n");
+  // From zero (the default) ignores sidecars and checks every object as
+  // one epoch from record 0; --resume restores from the front sidecar
+  // only (the cold restart); --epochs N additionally splits at every
+  // sidecar and checks the (object, epoch) matrix on N threads.
+  bool ViewLevel = Mode == "view";
+  EpochCheckOptions EO;
+  EO.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
+                              : CheckMode::CM_IORefinement;
+  EO.Checker.AuditPeriod = static_cast<unsigned>(Audit);
+  EO.Checker.QuiescentOnly = Quiescent;
+  EO.Checker.ContextRecords = static_cast<unsigned>(Context);
+  EO.UseSnapshots = Resume || Epochs > 0;
+  EO.ResumeOnly = Resume;
+  if (Epochs > 0)
+    EO.Threads = static_cast<unsigned>(Epochs);
+  size_t NumObjects = Composite ? 4 : 1;
+  PipelineFactory Factory = Composite ? makeCompositePipeline(ViewLevel)
+                                      : makeProgramPipeline(Prog, ViewLevel);
+  EpochReport ER = epochCheck(Path, NumObjects, Factory, EO);
+  if (!ER.Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", ER.Error.c_str());
     return 2;
   }
-
-  std::vector<Action> Log;
-  if (!loadLogFile(Path, Log)) {
-    std::fprintf(stderr, "error: cannot read log file '%s'\n",
-                 Path.c_str());
-    return 2;
-  }
-
-  ScenarioOptions SO;
-  SO.Prog = Prog;
-  SO.Mode = Mode == "view" ? RunMode::RM_OfflineView
-                           : RunMode::RM_OfflineIO;
-  SO.AuditPeriod = static_cast<unsigned>(Audit);
-  SO.QuiescentOnly = Quiescent;
-  SO.ContextRecords = static_cast<unsigned>(Context);
-  Scenario S = makeScenario(SO);
-  // Note: the scenario's own construction may append a few setup records
-  // (e.g. the B-link tree's initial root) before the replayed ones; the
-  // replay is idempotent with respect to them.
-  for (const Action &A : Log)
-    S.L->append(A);
-  VerifierReport R = S.Finish();
-  if (MaxViolations >= 0 &&
-      R.Violations.size() > static_cast<size_t>(MaxViolations))
+  VerifierReport &R = ER.Report;
+  if (R.Violations.size() > static_cast<size_t>(MaxViolations))
     R.Violations.resize(static_cast<size_t>(MaxViolations));
-
   std::printf("%s", R.str().c_str());
+  std::printf("epochs: %llu, tasks: %llu, serial rechecks: %llu\n",
+              static_cast<unsigned long long>(ER.Epochs),
+              static_cast<unsigned long long>(ER.Tasks),
+              static_cast<unsigned long long>(ER.SerialRechecks));
   if (Context > 0)
     for (const Violation &V : R.Violations)
       if (!V.Context.empty())
